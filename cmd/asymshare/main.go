@@ -627,7 +627,7 @@ func cmdFetch(args []string, out io.Writer) error {
 	feedback := fs.String("feedback", "", "own peer address to report receipts to")
 	trackerAddr := fs.String("tracker", "", "resolve peers through this tracker instead of the handle's list")
 	dhtAddr := fs.String("dht", "", "resolve peers through the DHT via this bootstrap node")
-	hedge := fs.Bool("hedge", false, "resilient chunk scheduling: start each chunk on the healthiest peer, re-issue stalled streams on the next, quarantine repeat offenders behind circuit breakers")
+	hedge := fs.Bool("hedge", false, "resilient chunk scheduling for every fetch, including -dht and -tracker: start each chunk on the healthiest peer, re-issue stalled streams on the next, quarantine repeat offenders behind circuit breakers")
 	deadline := fs.Duration("deadline", 0, "abandon the fetch after this long; propagated to peers so they drop work that can no longer arrive in time (0 = none)")
 	if err := fs.Parse(args); err != nil {
 		return err

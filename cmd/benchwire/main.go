@@ -409,7 +409,7 @@ func transportOnly(ctx context.Context, s *client.PeerSession, gens []*generatio
 			sink := &countSink{k: g.params.K}
 			fetchCtx, cancel := context.WithCancel(ctx)
 			defer cancel()
-			if err := s.Fetch(fetchCtx, g.fileID, sink, nil); err != nil {
+			if err := s.FetchStream(fetchCtx, client.StreamRequest{FileID: g.fileID}, sink, nil); err != nil {
 				errs[i] = err
 				return
 			}
@@ -448,7 +448,7 @@ func wireFetch(ctx context.Context, s *client.PeerSession, gens []*generation, s
 				defer pipe.Close()
 				fetchCtx, cancel := context.WithCancel(ctx)
 				defer cancel()
-				if err := s.Fetch(fetchCtx, g.fileID, pipe, nil); err != nil {
+				if err := s.FetchStream(fetchCtx, client.StreamRequest{FileID: g.fileID}, pipe, nil); err != nil {
 					return err
 				}
 				got, err := pipe.Decode()

@@ -1,13 +1,14 @@
 package client
 
 // Per-peer circuit breaker (DESIGN.md §15). A peer that fails
-// BreakerThreshold consecutive times is quarantined: the hedged chunk
-// scheduler stops ranking it into the ladder until its cooldown lapses,
-// then admits exactly one half-open probe stream. A successful probe
-// closes the breaker; a failed one re-opens it with a doubled cooldown,
-// capped at maxBreakerCooldown. The breaker only gates the hedged path
-// — the classic parallel fetch and its retry loop are deliberately left
-// breaker-blind so a client with no healthy alternatives still tries
+// BreakerThreshold consecutive times is quarantined: the hedged
+// scheduling policy stops ranking it into the ladder until its cooldown
+// lapses, then admits exactly one half-open probe stream. A successful
+// probe closes the breaker; a failed one re-opens it with a doubled
+// cooldown, capped at maxBreakerCooldown. The breaker only orders the
+// hedged policy's ladder: a quarantined peer is still tried once no
+// healthy peer of the chunk is left, and the default policy ignores
+// the breaker, so a client with no healthy alternative still tries
 // every peer it knows.
 
 import "time"

@@ -95,34 +95,32 @@ func TestBreakerFailedProbeDoublesCooldown(t *testing.T) {
 
 func TestHealthOrderRanksAndQuarantines(t *testing.T) {
 	h, now := testRegistry(Options{BreakerThreshold: 1, BreakerCooldown: time.Second})
-	fast := &PeerSession{addr: "fast"}
-	slow := &PeerSession{addr: "slow"}
-	sick := &PeerSession{addr: "sick"}
+	const fast, slow, sick = "fast", "slow", "sick"
 	h.recordSuccess("fast", 10*time.Millisecond)
 	h.recordSuccess("slow", 500*time.Millisecond)
 	h.recordFailure("sick")
 
-	ladder, probeFrom := h.order([]*PeerSession{slow, sick, fast}, 0)
+	ladder, probeFrom := h.order([]string{slow, sick, fast}, 0)
 	if len(ladder) != 2 || probeFrom != 2 {
 		t.Fatalf("ladder %d long, probeFrom %d: quarantined peer not excluded", len(ladder), probeFrom)
 	}
 	if ladder[0] != fast || ladder[1] != slow {
-		t.Fatalf("ladder order [%s %s], want healthiest first", ladder[0].addr, ladder[1].addr)
+		t.Fatalf("ladder order [%s %s], want healthiest first", ladder[0], ladder[1])
 	}
 
 	// Rotation spreads concurrent chunks across healthy peers only.
-	ladder, _ = h.order([]*PeerSession{slow, sick, fast}, 1)
+	ladder, _ = h.order([]string{slow, sick, fast}, 1)
 	if ladder[0] != slow {
-		t.Fatalf("rotated ladder starts at %s, want slow", ladder[0].addr)
+		t.Fatalf("rotated ladder starts at %s, want slow", ladder[0])
 	}
 
 	// After the cooldown the sick peer rejoins as a probe candidate,
 	// always ranked after the healthy rungs.
 	*now = now.Add(time.Second)
-	ladder, probeFrom = h.order([]*PeerSession{sick, fast, slow}, 0)
+	ladder, probeFrom = h.order([]string{sick, fast, slow}, 0)
 	if len(ladder) != 3 || probeFrom != 2 || ladder[2] != sick {
 		t.Fatalf("probe candidate placement wrong: len %d probeFrom %d last %s",
-			len(ladder), probeFrom, ladder[len(ladder)-1].addr)
+			len(ladder), probeFrom, ladder[len(ladder)-1])
 	}
 }
 
@@ -164,7 +162,7 @@ func TestShedProbeReleasesHalfOpenSlot(t *testing.T) {
 	if !h.allow("p") {
 		t.Fatal("peer still excluded after its shed probe resolved")
 	}
-	ladder, probeFrom := h.order([]*PeerSession{{addr: "p"}}, 0)
+	ladder, probeFrom := h.order([]string{"p"}, 0)
 	if len(ladder) != 1 || probeFrom != 1 {
 		t.Fatalf("ladder len %d probeFrom %d, want the peer back as a healthy rung", len(ladder), probeFrom)
 	}
@@ -182,10 +180,28 @@ func TestShedsFeedScoreNotBreaker(t *testing.T) {
 		t.Fatalf("snapshot %+v, want 10 sheds and 0 failures", s)
 	}
 	// But they do nudge the ranking behind an unshedded peer.
-	calm := &PeerSession{addr: "calm"}
-	busy := &PeerSession{addr: "busy"}
-	ladder, _ := h.order([]*PeerSession{busy, calm}, 0)
-	if ladder[0] != calm {
+	ladder, _ := h.order([]string{"busy", "calm"}, 0)
+	if ladder[0] != "calm" {
 		t.Fatal("shed-heavy peer ranked ahead of a calm one")
+	}
+}
+
+// TestAbandonedProbeReturnsToOpen: a probe stream cancelled before it
+// reached the peer proved nothing, so the breaker goes back to open —
+// neither closed on no evidence nor stranded half-open with its single
+// probe slot claimed — and the peer is a probe candidate again.
+func TestAbandonedProbeReturnsToOpen(t *testing.T) {
+	h, now := testRegistry(Options{BreakerThreshold: 1, BreakerCooldown: time.Second})
+	h.recordFailure("p")
+	*now = now.Add(time.Second)
+	if !h.beginProbe("p") {
+		t.Fatal("probe not granted after cooldown")
+	}
+	h.abandonProbe("p")
+	if s := h.snapshot("p"); s.Breaker != "open" {
+		t.Fatalf("breaker %q after an abandoned probe, want open", s.Breaker)
+	}
+	if !h.beginProbe("p") {
+		t.Fatal("probe slot not handed back by the abandoned probe")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -98,6 +99,9 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestStreamFileInOrder streams a multi-chunk file with no prefetch,
+// the default window and an explicit one: every mode must deliver each
+// chunk exactly once, in file order.
 func TestStreamFileInOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	data := make([]byte, 5000) // 5 chunks of 1024 (last 904)
@@ -108,38 +112,42 @@ func TestStreamFileInOrder(t *testing.T) {
 	}
 	manifest, addrs := buildAndDisseminate(t, c, data, 2)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	stream, err := c.StreamFile(ctx, addrs, manifest, testSecret(), client.StreamOptions{Prefetch: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
+	for _, prefetch := range []int{-1, 0, 2} {
+		t.Run(fmt.Sprintf("prefetch=%d", prefetch), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			stream, err := c.StreamFile(ctx, addrs, manifest, testSecret(), client.StreamOptions{Prefetch: prefetch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stream.Close()
 
-	var got []byte
-	for want := 0; ; want++ {
-		idx, piece, err := stream.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx != want {
-			t.Fatalf("chunk %d delivered out of order (want %d)", idx, want)
-		}
-		got = append(got, piece...)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("streamed data mismatch")
-	}
-	stats := stream.Stats()
-	if stats.Innovative == 0 || len(stats.BytesFrom) == 0 {
-		t.Errorf("stats empty: %+v", stats)
-	}
-	// Next after EOF keeps returning EOF.
-	if _, _, err := stream.Next(); !errors.Is(err, io.EOF) {
-		t.Errorf("post-EOF Next = %v", err)
+			var got []byte
+			for want := 0; ; want++ {
+				idx, piece, err := stream.Next()
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if idx != want {
+					t.Fatalf("chunk %d delivered out of order (want %d)", idx, want)
+				}
+				got = append(got, piece...)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatal("streamed data mismatch")
+			}
+			stats := stream.Stats()
+			if stats.Innovative == 0 || len(stats.BytesFrom) == 0 {
+				t.Errorf("stats empty: %+v", stats)
+			}
+			// Next after EOF keeps returning EOF.
+			if _, _, err := stream.Next(); !errors.Is(err, io.EOF) {
+				t.Errorf("post-EOF Next = %v", err)
+			}
+		})
 	}
 }
 
@@ -257,13 +265,15 @@ func TestPartialStoragePeers(t *testing.T) {
 	}
 
 	// One partial peer is not enough.
-	_, _, err = c.FetchGeneration(ctx, []string{nodeA.Addr().String()}, params, 11, testSecret(), nil)
+	_, _, err = c.Fetch(ctx, client.FetchRequest{Peers: []string{nodeA.Addr().String()},
+		Params: params, FileID: 11, Secret: testSecret()})
 	if !errors.Is(err, client.ErrIncomplete) {
 		t.Errorf("single partial peer error = %v, want ErrIncomplete", err)
 	}
 	// Together they decode.
-	got, _, err := c.FetchGeneration(ctx,
-		[]string{nodeA.Addr().String(), nodeB.Addr().String()}, params, 11, testSecret(), nil)
+	got, _, err := c.Fetch(ctx, client.FetchRequest{
+		Peers:  []string{nodeA.Addr().String(), nodeB.Addr().String()},
+		Params: params, FileID: 11, Secret: testSecret()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +320,7 @@ func TestFetchFileWithinClientPackage(t *testing.T) {
 	}
 }
 
-func TestFetchGenerationAllPeersUnreachable(t *testing.T) {
+func TestFetchAllPeersUnreachable(t *testing.T) {
 	c, err := client.New(identity(t, 8), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -322,8 +332,8 @@ func TestFetchGenerationAllPeersUnreachable(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	// Two dead addresses: the error must mention the dial failures.
-	_, _, err = c.FetchGeneration(ctx, []string{"127.0.0.1:1", "127.0.0.1:2"},
-		params, 1, testSecret(), nil)
+	_, _, err = c.Fetch(ctx, client.FetchRequest{Peers: []string{"127.0.0.1:1", "127.0.0.1:2"},
+		Params: params, FileID: 1, Secret: testSecret()})
 	if !errors.Is(err, client.ErrIncomplete) {
 		t.Fatalf("error = %v, want ErrIncomplete", err)
 	}

@@ -3,7 +3,7 @@ package client
 // Per-peer health tracking for the resilient fetch path (DESIGN.md
 // §15). Every peer the client talks to accumulates an EWMA of stream
 // latency, failure and shed counts, and a circuit-breaker state
-// (breaker.go). The hedged chunk scheduler (hedge.go) ranks sessions by
+// (breaker.go). The hedged scheduling policy (hedge.go) ranks peers by
 // these scores, and the hedge delay — how long a stream may make no
 // progress before it is re-issued on the next-healthiest peer — is
 // derived from a small reservoir of recent stream latencies (p95 with
@@ -185,6 +185,19 @@ func (h *healthRegistry) recordShed(addr string) {
 	}
 }
 
+// abandonProbe hands back a half-open probe slot whose stream ended
+// before it reached the peer, so it proved nothing either way: the
+// breaker returns to open, its lapsed cooldown leaving the peer a
+// probe candidate again.
+func (h *healthRegistry) abandonProbe(addr string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if p, ok := h.peers[addr]; ok && p.state == breakerHalfOpen && p.probing {
+		p.state = breakerOpen
+		p.probing = false
+	}
+}
+
 // scoreLocked ranks a peer for the hedge ladder: lower is healthier.
 // EWMA latency dominates; each consecutive failure costs half a second
 // of equivalent latency and accumulated sheds add a capped nudge away
@@ -197,41 +210,42 @@ func (p *peerHealth) scoreLocked() float64 {
 	return p.ewmaSeconds + 0.5*float64(p.consecFails) + 0.02*sheds
 }
 
-// order ranks sessions for the hedge ladder. The first return value is
-// the ladder: closed-breaker peers healthiest-first, rotated by rotate
-// so concurrent chunks spread across equally healthy peers, followed by
-// cooled-down quarantined peers (probe candidates). probeFrom is the
-// index where those candidates begin (== len when there are none).
-// Peers still inside their breaker cooldown are excluded entirely.
-func (h *healthRegistry) order(sessions []*PeerSession, rotate int) (ladder []*PeerSession, probeFrom int) {
+// order ranks a chunk's peers for the hedge ladder. The first return
+// value is the ladder: closed-breaker peers healthiest-first, rotated
+// by rotate so concurrent chunks spread across equally healthy peers,
+// followed by cooled-down quarantined peers (probe candidates).
+// probeFrom is the index where those candidates begin (== len when
+// there are none). Peers still inside their breaker cooldown are
+// excluded entirely.
+func (h *healthRegistry) order(addrs []string, rotate int) (ladder []string, probeFrom int) {
 	type ranked struct {
-		s     *PeerSession
+		addr  string
 		score float64
 	}
 	h.mu.Lock()
 	now := h.now()
-	healthy := make([]ranked, 0, len(sessions))
-	var probes []*PeerSession
-	for _, s := range sessions {
-		p, ok := h.peers[s.Addr()]
+	healthy := make([]ranked, 0, len(addrs))
+	var probes []string
+	for _, addr := range addrs {
+		p, ok := h.peers[addr]
 		switch {
 		case !ok || p.state == breakerClosed:
 			var score float64
 			if ok {
 				score = p.scoreLocked()
 			}
-			healthy = append(healthy, ranked{s: s, score: score})
+			healthy = append(healthy, ranked{addr: addr, score: score})
 		case p.allowLocked(now):
-			probes = append(probes, s)
+			probes = append(probes, addr)
 		}
 	}
 	h.mu.Unlock()
 	sort.SliceStable(healthy, func(i, j int) bool { return healthy[i].score < healthy[j].score })
-	ladder = make([]*PeerSession, 0, len(healthy)+len(probes))
+	ladder = make([]string, 0, len(healthy)+len(probes))
 	if n := len(healthy); n > 0 {
 		r := rotate % n
 		for i := 0; i < n; i++ {
-			ladder = append(ladder, healthy[(r+i)%n].s)
+			ladder = append(ladder, healthy[(r+i)%n].addr)
 		}
 	}
 	probeFrom = len(ladder)

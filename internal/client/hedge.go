@@ -1,223 +1,115 @@
 package client
 
-// Hedged chunk fetches (DESIGN.md §15). Where fetchChunkMux streams a
-// chunk from every session at once — maximum instantaneous goodput,
-// maximum wasted upload bandwidth — the hedged scheduler walks a
-// health-ranked ladder: the chunk starts on the single healthiest
-// session, and only when the stream stalls for a full hedge delay
-// (p95-based, health.go) or ends without completing the chunk is it
-// re-issued on the next-healthiest peer. The shared RLNC sink makes the
-// race safe: whichever stream delivers the last innovative message
-// wins, and duplicates are just redundant rows. Quarantined peers whose
-// breaker cooldown has lapsed ride along as half-open probes so
-// recovery is observed without risking the chunk on them.
+// The hedged scheduling policy (DESIGN.md §15), selected by
+// Options.Hedge. Where the default policy streams a chunk from every
+// peer at once — maximum instantaneous goodput, maximum wasted upload
+// bandwidth — the hedged policy walks a health-ranked ladder: the chunk
+// starts on the single healthiest peer of its set, and only when the
+// stream stalls for a full hedge delay (p95-based, health.go) or ends
+// without completing the chunk is it re-issued on the next-healthiest
+// peer. The shared RLNC sink makes the race safe: whichever stream
+// delivers the last innovative message wins, and duplicates are just
+// redundant rows. Quarantined peers whose breaker cooldown has lapsed
+// ride along as half-open probes so recovery is observed without
+// risking the chunk on them.
 
-import (
-	"context"
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
+import "time"
 
-	"asymshare/internal/rlnc"
-	"asymshare/internal/wire"
-)
-
-// hedgeLaunch tracks one ladder rung's in-flight stream.
-type hedgeLaunch struct {
-	sess    *PeerSession
-	started time.Time
-	probe   bool
-	bytes   atomic.Int64
-	err     error // written by the stream goroutine, read after wg.Wait
-}
-
-// fetchChunkHedged downloads one generation over the open sessions with
-// hedging: one stream at a time down the health ladder, re-issuing on
-// stall, plus concurrent half-open probes for cooled-down quarantined
-// peers. rotate (the chunk index) spreads concurrent chunks across
-// equally healthy peers. Failing here is cheap — FetchFile falls back
-// to the all-sessions mux path, which ignores the breaker entirely.
-func (c *Client) fetchChunkHedged(ctx context.Context, sessions []*PeerSession, rotate int,
-	params rlnc.Params, fileID uint64, secret []byte, digests map[uint64]rlnc.Digest) ([]byte, FetchStats, error) {
-	stats := FetchStats{BytesFrom: make(map[string]uint64, len(sessions))}
-	ladder, probeFrom := c.health.order(sessions, rotate)
-	if len(ladder) == 0 {
-		return nil, stats, fmt.Errorf("%w: every session quarantined", ErrNoPeers)
+// hedged runs the chunk down the health ladder of addrs: one stream at
+// a time, re-issued on stall, plus concurrent half-open probes for
+// cooled-down quarantined peers. A ladder stream recovers like any
+// other — it redials after an abort and waits out a BUSY shed — while
+// the hedge timer re-issues the chunk whenever it makes no progress; a
+// probe makes one attempt, which is its verdict. rotate (the chunk
+// index) spreads concurrent chunks across equally healthy peers. Once
+// no healthy rung is left and every stream has ended without
+// completing the chunk, every peer not yet tried — quarantined or not
+// — streams it at once: a client with no healthy alternative still
+// tries every peer it knows.
+func (r *chunkRun) hedged(addrs []string, rotate int, delay time.Duration) {
+	defer func() {
+		r.cancel()
+		r.wg.Wait()
+	}()
+	ladder, probeFrom := r.c.health.order(addrs, rotate)
+	probeTo := len(ladder)
+	onLadder := make(map[string]bool, len(ladder))
+	for _, a := range ladder {
+		onLadder[a] = true
 	}
-	req := FetchRequest{Params: params, FileID: fileID, Secret: secret, Digests: digests}
-	sink, telemetry, err := req.newSink()
-	if err != nil {
-		return nil, stats, err
+	for _, a := range addrs {
+		if !onLadder[a] { // inside its breaker cooldown
+			ladder = append(ladder, a)
+		}
 	}
-	if closer, ok := sink.(interface{ Close() }); ok {
-		defer closer.Close()
-	}
-	stopSampling := c.m.sampleDecode(telemetry)
-
-	start := time.Now()
-	streamCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu          sync.Mutex // guards stats.BytesFrom
-		wg          sync.WaitGroup
-		progress    atomic.Int64
-		launches    = make([]*hedgeLaunch, len(ladder))
-		results     = make(chan int, len(ladder))
-		outstanding int
-	)
+	launched := make([]bool, len(ladder))
+	outstanding := 0
 	launch := func(i int, probe bool) {
-		l := &hedgeLaunch{sess: ladder[i], started: time.Now(), probe: probe}
-		launches[i] = l
+		launched[i] = true
 		outstanding++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fp := l.sess.Fingerprint()
-			l.err = l.sess.FetchStream(streamCtx,
-				StreamRequest{FileID: fileID, Priority: c.opt.Priority}, sink, func(n int) {
-					l.bytes.Add(int64(n))
-					progress.Add(int64(n))
-					mu.Lock()
-					stats.BytesFrom[fp] += uint64(n)
-					mu.Unlock()
-				})
-			results <- i
-		}()
+		r.start(ladder[i], !probe, probe)
 	}
 	// launchNext continues the ladder onto the next unstarted healthy
-	// rung; probe rungs are handled at start-up only.
+	// rung. With none left and no stream outstanding, it launches every
+	// remaining peer instead: the last resort.
 	launchNext := func() bool {
 		for i := 0; i < probeFrom; i++ {
-			if launches[i] == nil {
+			if !launched[i] {
 				launch(i, false)
 				return true
 			}
 		}
-		return false
+		if outstanding > 0 {
+			return false
+		}
+		for i := range ladder {
+			if !launched[i] {
+				launch(i, false)
+			}
+		}
+		return outstanding > 0
 	}
 
 	// Primary stream plus every claimable half-open probe. The probes
 	// are why a quarantined peer can ever be observed recovering: its
 	// single post-cooldown stream runs alongside a healthy primary, so
-	// the chunk never depends on it. When every session is quarantined
-	// (probeFrom == 0) the first probe candidate doubles as the
-	// primary, so the probe loop skips any rung already launched —
-	// otherwise ladder[0] would stream twice, overflowing results and
-	// clobbering launches[0].
-	launch(0, false)
-	for i := probeFrom; i < len(ladder); i++ {
-		if launches[i] != nil {
-			continue
-		}
-		if c.health.beginProbe(ladder[i].Addr()) {
+	// the chunk never depends on it. With no healthy peer the primary
+	// launch is already the last resort, which leaves nothing to probe.
+	launchNext()
+	for i := probeFrom; i < probeTo; i++ {
+		if !launched[i] && r.c.health.beginProbe(ladder[i]) {
 			launch(i, true)
 		}
 	}
 
-	delay := c.health.hedgeDelay()
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	var lastProgress int64
-loop:
 	for outstanding > 0 {
 		select {
-		case <-ctx.Done():
-			break loop
-		case <-results:
+		case <-r.ctx.Done():
+			return
+		case <-r.ended:
 			outstanding--
-			if sink.Done() {
-				break loop
+			if r.sink.Done() {
+				return
 			}
 			// The rung ended — exhausted, shed, or failed — without
 			// completing the chunk: walk the ladder immediately rather
 			// than waiting out the hedge timer.
 			launchNext()
 		case <-timer.C:
-			if progress.Load() == lastProgress && !sink.Done() {
+			if r.progress.Load() == lastProgress && !r.sink.Done() {
 				// A full hedge delay with not one byte of progress:
 				// re-issue the chunk on the next-healthiest peer. The
 				// straggler keeps running — it may still win — until
-				// the chunk completes and cancel() reaps it.
+				// the chunk completes and cancel reaps it.
 				if launchNext() {
-					c.m.hedgeLaunched.Inc()
+					r.c.m.hedgeLaunched.Inc()
 				}
 			}
-			lastProgress = progress.Load()
+			lastProgress = r.progress.Load()
 			timer.Reset(delay)
-		}
-	}
-	cancel()
-	wg.Wait()
-	stats.Elapsed = time.Since(start)
-	stopSampling()
-
-	completed := sink.Done()
-	c.classifyHedged(launches, completed, delay)
-
-	st := sink.Stats()
-	stats.Messages = st.Received
-	stats.Innovative = st.Accepted
-	stats.Rejected = st.Rejected
-
-	if !completed {
-		err := ctx.Err()
-		if err == nil {
-			errs := make([]error, 0, len(launches))
-			for _, l := range launches {
-				if l != nil && l.err != nil {
-					errs = append(errs, l.err)
-				}
-			}
-			err = fmt.Errorf("%w: rank %d of %d (%s)",
-				ErrIncomplete, sink.Rank(), params.K, joinErrs(errs))
-		}
-		c.m.recordFetch(stats, 0, err)
-		return nil, stats, err
-	}
-	data, err := sink.Decode()
-	if err != nil {
-		c.m.recordFetch(stats, 0, err)
-		return nil, stats, err
-	}
-	c.m.recordFetch(stats, len(data), nil)
-	if telemetry != nil {
-		c.m.recordDecodeTelemetry(telemetry())
-	}
-	return data, stats, nil
-}
-
-// classifyHedged folds every launched stream's outcome into the health
-// registry. Called after wg.Wait, so err fields are settled.
-func (c *Client) classifyHedged(launches []*hedgeLaunch, completed bool, delay time.Duration) {
-	for _, l := range launches {
-		if l == nil {
-			continue
-		}
-		addr := l.sess.Addr()
-		elapsed := time.Since(l.started)
-		var busy *wire.Busy
-		switch {
-		case errors.As(l.err, &busy):
-			// Shed under overload: an honest answer, not sickness.
-			c.health.recordShed(addr)
-			c.m.shedsObserved.Inc()
-		case l.err != nil:
-			c.health.recordFailure(addr)
-		case completed && l.bytes.Load() == 0 && elapsed > delay:
-			// Held a stream for a whole hedge delay and contributed
-			// nothing while another peer finished the chunk: a stall —
-			// the exact pathology hedging exists to route around.
-			c.health.recordFailure(addr)
-			c.m.hedgeStalls.Inc()
-		case completed && l.bytes.Load() > 0:
-			c.health.recordSuccess(addr, elapsed)
-		default:
-			// Exhausted its stored messages or arrived too late to
-			// matter: liveness proven, no latency sample.
-			c.health.recordSuccess(addr, 0)
 		}
 	}
 }

@@ -7,11 +7,14 @@ package client
 // it a second time opened a duplicate stream for the same file-id on
 // the same session, whose register failure was classified as a real
 // failure and re-opened the breaker (with a doubled cooldown) right
-// after the chunk had in fact been served successfully.
+// after the chunk had in fact been served successfully. A peer still
+// inside its cooldown is tried last: on its own, and once a healthy
+// peer beside it has failed.
 
 import (
 	"bytes"
 	"context"
+	"net"
 	"testing"
 	"time"
 
@@ -78,12 +81,6 @@ func TestHedgedAllQuarantinedLaunchesPrimaryOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sess, err := c.NewPeerSession(ctx, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
 	// Quarantine the peer with an already-lapsed cooldown so the ladder
 	// consists solely of probe candidates.
 	c.health.mu.Lock()
@@ -93,8 +90,7 @@ func TestHedgedAllQuarantinedLaunchesPrimaryOnce(t *testing.T) {
 	p.openUntil = time.Now().Add(-time.Millisecond)
 	c.health.mu.Unlock()
 
-	sessions := []*PeerSession{sess}
-	if ladder, probeFrom := c.health.order(sessions, 0); len(ladder) != 1 || probeFrom != 0 {
+	if ladder, probeFrom := c.health.order([]string{addr}, 0); len(ladder) != 1 || probeFrom != 0 {
 		t.Fatalf("sanity: ladder len %d probeFrom %d, want 1 and 0", len(ladder), probeFrom)
 	}
 
@@ -103,7 +99,8 @@ func TestHedgedAllQuarantinedLaunchesPrimaryOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piece, _, err := c.fetchChunkHedged(ctx, sessions, 0, params, info.FileID, secret, info.Digests)
+	piece, _, err := c.Fetch(ctx, FetchRequest{Peers: []string{addr}, Params: params,
+		FileID: info.FileID, Secret: secret, Digests: info.Digests})
 	if err != nil {
 		t.Fatalf("all-quarantined hedged fetch: %v", err)
 	}
@@ -129,5 +126,43 @@ func TestHedgedAllQuarantinedLaunchesPrimaryOnce(t *testing.T) {
 	// orphaned — both wrong).
 	if v := reg.Counter(MetricBreakerProbes, "").Value(); v != 0 {
 		t.Fatalf("breaker_probes_total = %d, want 0 (primary rung probed twice)", v)
+	}
+
+	// Still inside its cooldown, the only peer is no probe candidate
+	// either. The hedged policy must still try it rather than fail the
+	// chunk outright: with no healthy alternative, every known peer is
+	// worth a stream.
+	c.health.mu.Lock()
+	p.state = breakerOpen
+	p.openUntil = time.Now().Add(time.Hour)
+	c.health.mu.Unlock()
+	if ladder, _ := c.health.order([]string{addr}, 0); len(ladder) != 0 {
+		t.Fatalf("sanity: cooling-down peer on the ladder: %v", ladder)
+	}
+	if _, _, err := c.Fetch(ctx, FetchRequest{Peers: []string{addr}, Params: params,
+		FileID: info.FileID, Secret: secret, Digests: info.Digests}); err != nil {
+		t.Fatalf("hedged fetch with every peer cooling down: %v", err)
+	}
+
+	// Beside a healthy peer that cannot serve the chunk, the
+	// cooling-down peer is the last resort once the healthy rung has
+	// failed.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	c.health.mu.Lock()
+	p.state = breakerOpen
+	p.openUntil = time.Now().Add(time.Hour)
+	c.health.mu.Unlock()
+	piece, _, err = c.Fetch(ctx, FetchRequest{Peers: []string{dead, addr}, Params: params,
+		FileID: info.FileID, Secret: secret, Digests: info.Digests})
+	if err != nil {
+		t.Fatalf("hedged fetch with only a dead healthy peer: %v", err)
+	}
+	if got, err := chunk.Assemble(&share.Manifest, [][]byte{piece}); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("last-resort fetch decoded different bytes (%v)", err)
 	}
 }

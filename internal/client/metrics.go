@@ -100,7 +100,7 @@ func (c *Client) Instrument(reg *metrics.Registry) {
 	}
 }
 
-// recordFetch folds one completed FetchGeneration into the instrument
+// recordFetch folds one completed generation fetch into the instrument
 // set. decodedBytes is zero when the fetch failed.
 func (m *clientMetrics) recordFetch(stats FetchStats, decodedBytes int, err error) {
 	m.fetchDur.ObserveDuration(stats.Elapsed)

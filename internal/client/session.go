@@ -1,24 +1,24 @@
 package client
 
 // PeerSession multiplexes many concurrent generation downloads over one
-// authenticated connection. The legacy fetch path dials a fresh
-// connection per peer per generation — fine for a single chunk, but a
-// manifest of dozens of chunks pays dial+handshake per chunk and
-// serializes them. A session performs the handshake once, issues
-// GET_MUX requests, and demultiplexes the interleaved DATA frames by
-// the file-id every message carries in its first 8 header bytes.
+// authenticated connection. The fetch engine (fetch.go) opens one
+// session per peer for a whole call: the handshake is paid once, each
+// chunk is a GET_MUX stream, and the demux loop routes the interleaved
+// DATA frames by the file-id every message carries in its first 8
+// header bytes. sessionPool, at the end of this file, is the engine's
+// per-call set of sessions and where an aborted one is redialed.
 //
 // Buffer ownership (DESIGN.md §13): the demux loop owns each frame
 // buffer from FrameReader.Next until it hands it to a stream's frame
-// channel, where ownership transfers to the stream's Fetch loop, which
-// releases it after feeding the decoder. Frames for unknown or dead
-// streams are released on the spot, so a cancelled stream can never
-// leak its in-flight buffers.
+// channel, where ownership transfers to the stream's FetchStream loop,
+// which releases it after feeding the decoder. Frames for unknown or
+// dead streams are released on the spot, so a cancelled stream can
+// never leak its in-flight buffers.
 //
-// Failure scoping: STREAM_ERROR frames and per-message digest failures
-// kill only the stream they name — every other stream on the session
-// keeps running. Read errors on the connection itself fail all streams
-// with the retriable errPeerAborted class.
+// Failure scoping: STREAM_ERROR and BUSY frames and per-message digest
+// failures end only the stream they name — every other stream on the
+// session keeps running. Read errors on the connection itself fail all
+// streams with the retriable errPeerAborted class.
 
 import (
 	"context"
@@ -40,8 +40,8 @@ import (
 // pooled buffers.
 const sessStreamBuffer = 64
 
-// ErrSessionClosed is returned by Fetch on a session whose connection
-// has already failed or been closed.
+// ErrSessionClosed is returned by FetchStream on a session whose
+// connection has already failed or been closed.
 var ErrSessionClosed = errors.New("client: peer session closed")
 
 // sessStream is the demux target for one in-flight generation.
@@ -54,7 +54,8 @@ type sessStream struct {
 	done     chan struct{}
 }
 
-// fail records the stream's terminal error and wakes its Fetch loop.
+// fail records the stream's terminal error and wakes its FetchStream
+// loop.
 func (st *sessStream) fail(err error) {
 	st.failOnce.Do(func() {
 		st.err = err
@@ -63,8 +64,8 @@ func (st *sessStream) fail(err error) {
 }
 
 // PeerSession is one authenticated, multiplexed connection to a storage
-// peer. Safe for concurrent Fetch calls; create with NewPeerSession and
-// Close when done.
+// peer. Safe for concurrent FetchStream calls; create with
+// NewPeerSession and Close when done.
 type PeerSession struct {
 	c           *Client
 	addr        string
@@ -99,11 +100,6 @@ func (sw *sessionWriter) writeFrame(t wire.Type, payload []byte) error {
 func (c *Client) NewPeerSession(ctx context.Context, addr string) (*PeerSession, error) {
 	conn, peerKey, err := c.dial(ctx, addr, wire.RoleUser)
 	if err != nil {
-		// A failed dial or handshake while the caller's context is
-		// still live is the peer's fault — feed the circuit breaker.
-		if ctx.Err() == nil {
-			c.health.recordFailure(addr)
-		}
 		return nil, err
 	}
 	s := &PeerSession{
@@ -171,6 +167,13 @@ func (s *PeerSession) unregister(st *sessStream) {
 			return
 		}
 	}
+}
+
+// failed reports whether the session's connection has died.
+func (s *PeerSession) failed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.dead != nil
 }
 
 // lookup returns the stream registered for fileID, if any.
@@ -306,16 +309,6 @@ func (s *PeerSession) stop(fileID uint64) {
 	_ = s.cw.writeFrame(wire.TypeStop, stopMsg.Marshal())
 }
 
-// Fetch streams one generation into sink over the session, returning
-// when the decode completes (sink.Done), the peer exhausts its stored
-// messages, the context is cancelled, or the stream fails. onBytes, if
-// non-nil, is called with each message's wire size for receipt
-// accounting. Digest failures are tolerated (the forged message is
-// dropped, the stream continues), matching the legacy fetch path.
-func (s *PeerSession) Fetch(ctx context.Context, fileID uint64, sink rlnc.ByteSink, onBytes func(int)) error {
-	return s.FetchStream(ctx, StreamRequest{FileID: fileID}, sink, onBytes)
-}
-
 // StreamRequest names one muxed stream's inputs beyond the defaults:
 // the generation to fetch and the wire priority propagated with it.
 type StreamRequest struct {
@@ -326,9 +319,14 @@ type StreamRequest struct {
 	Priority uint8
 }
 
-// FetchStream is Fetch with an explicit stream request. The context's
-// deadline, if any, is propagated on the wire as the remaining budget
-// so the peer can drop the stream once it passes.
+// FetchStream streams one generation into sink over the session,
+// returning nil when the decode completes (sink.Done), the peer
+// exhausts its stored messages (orderly STOP), or the context ends,
+// and the stream's error otherwise. onBytes, if non-nil, is called with
+// each message's wire size for receipt accounting. Digest failures are
+// tolerated: the forged message is dropped and the stream continues.
+// The context's deadline, if any, is propagated on the wire as the
+// remaining budget so the peer can drop the stream once it passes.
 func (s *PeerSession) FetchStream(ctx context.Context, req StreamRequest, sink rlnc.ByteSink, onBytes func(int)) error {
 	fileID := req.FileID
 	st := &sessStream{
@@ -374,6 +372,101 @@ func (s *PeerSession) FetchStream(ctx context.Context, req StreamRequest, sink r
 				s.stop(fileID)
 				return nil
 			}
+		}
+	}
+}
+
+// dialError marks a failed session dial, which the pool has already
+// recorded in the peer's health.
+type dialError struct{ err error }
+
+func (e *dialError) Error() string { return e.err.Error() }
+func (e *dialError) Unwrap() error { return e.err }
+
+// sessionPool holds one engine call's sessions: one per peer address,
+// dialed on first use and shared by every chunk stream to that peer.
+type sessionPool struct {
+	ctx context.Context // the call's; bounds every dial
+	c   *Client
+
+	mu      sync.Mutex
+	current map[string]*poolEntry
+	all     []*poolEntry   // every dial, replaced ones included
+	dials   sync.WaitGroup // dials in flight
+}
+
+// poolEntry is one dial of a peer; ready closes once s or err is set.
+type poolEntry struct {
+	ready chan struct{}
+	s     *PeerSession
+	err   error
+}
+
+func newSessionPool(ctx context.Context, c *Client) *sessionPool {
+	return &sessionPool{ctx: ctx, c: c, current: make(map[string]*poolEntry)}
+}
+
+// get returns addr's current entry, dialing when there is none or when
+// its dial failed or its session died — the redial on abort, which
+// concurrent callers then share. A failed dial or handshake while the
+// call is live is the peer's fault and feeds its circuit breaker, once
+// per dial; it is recorded only after the entry reads as broken, so an
+// attempt that starts after the record — a half-open probe, say —
+// dials afresh and gets a verdict of its own.
+func (p *sessionPool) get(addr string) *poolEntry {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	e := p.current[addr]
+	if e != nil && !e.broken() {
+		return e
+	}
+	e = &poolEntry{ready: make(chan struct{})}
+	p.current[addr] = e
+	p.all = append(p.all, e)
+	p.dials.Add(1)
+	go func() {
+		defer p.dials.Done()
+		s, err := p.c.NewPeerSession(p.ctx, addr)
+		if err != nil {
+			e.err = &dialError{err}
+		}
+		e.s = s
+		close(e.ready)
+		if err != nil && p.ctx.Err() == nil {
+			p.c.health.recordFailure(addr)
+		}
+	}()
+	return e
+}
+
+// broken reports whether e's dial failed or its session has died; an
+// entry still dialing is not broken.
+func (e *poolEntry) broken() bool {
+	select {
+	case <-e.ready:
+		return e.err != nil || e.s.failed()
+	default:
+		return false
+	}
+}
+
+// wait returns the entry's session once its dial has finished.
+func (e *poolEntry) wait(ctx context.Context) (*PeerSession, error) {
+	select {
+	case <-e.ready:
+		return e.s, e.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// close waits out any dial still in flight (the call's context is
+// already cancelled) and closes every session the call opened.
+func (p *sessionPool) close() {
+	p.dials.Wait()
+	for _, e := range p.all {
+		if e.s != nil {
+			e.s.Close()
 		}
 	}
 }

@@ -6,12 +6,14 @@ package client
 // built directly over a net.Pipe so the test controls every frame.
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"net"
 	"testing"
 	"time"
 
+	"asymshare/internal/gf"
 	"asymshare/internal/rlnc"
 	"asymshare/internal/wire"
 )
@@ -149,4 +151,70 @@ func TestSessionBusyFailsOnlyItsStream(t *testing.T) {
 	}
 	s.unregister(shed)
 	s.unregister(kept)
+}
+
+// TestStreamEndClassification pins how the one receive path ends a
+// stream and how the engine recovers from each ending: an orderly STOP
+// is a clean end, an abort without STOP is retried (redial), a peer's
+// STREAM_ERROR is terminal, a BUSY shed is re-requested after its
+// RETRY_AFTER hint, and an EXPIRED shed is terminal. Each case scripts
+// the fake peer's answer to the stream's GET_MUX.
+func TestStreamEndClassification(t *testing.T) {
+	const fileID = 5
+	cases := []struct {
+		name       string
+		answer     func(t *testing.T, srv net.Conn)
+		want       streamEnd
+		retryAfter time.Duration
+	}{
+		{"orderly STOP", func(t *testing.T, srv net.Conn) {
+			stop := wire.Stop{FileID: fileID}
+			if err := wire.WriteFrame(srv, wire.TypeStop, stop.Marshal()); err != nil {
+				t.Error(err)
+			}
+		}, endOrderly, 0},
+		{"abort", func(t *testing.T, srv net.Conn) { srv.Close() }, endRetry, 0},
+		{"remote error", func(t *testing.T, srv net.Conn) {
+			writeStreamError(t, srv, fileID, wire.CodeUnknownFile)
+		}, endTerminal, 0},
+		{"busy", func(t *testing.T, srv net.Conn) {
+			if err := wire.SendBusy(srv, fileID, wire.CodeBusy, 750, "at stream capacity"); err != nil {
+				t.Error(err)
+			}
+		}, endShed, 750 * time.Millisecond},
+		{"expired", func(t *testing.T, srv net.Conn) {
+			if err := wire.SendBusy(srv, fileID, wire.CodeExpired, 0, "deadline passed"); err != nil {
+				t.Error(err)
+			}
+		}, endTerminal, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, srv := pipeSession(t)
+			go func() {
+				if f, err := wire.ReadFrame(srv); err != nil || f.Type != wire.TypeGetMux {
+					t.Errorf("fake peer read %v, %v; want GET_MUX", f, err)
+					return
+				}
+				tc.answer(t, srv)
+			}()
+			params, err := rlnc.NewParams(gf.MustNew(gf.Bits8), 4, 16, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe, err := rlnc.NewPipeline(params, fileID, make([]byte, rlnc.SecretLen), nil, rlnc.PipelineConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pipe.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			err = s.FetchStream(ctx, StreamRequest{FileID: fileID}, pipe, nil)
+			end, retryAfter := classifyEnd(err)
+			if end != tc.want || retryAfter != tc.retryAfter {
+				t.Fatalf("stream ended with %v: classified (%d, %v), want (%d, %v)",
+					err, end, retryAfter, tc.want, tc.retryAfter)
+			}
+		})
+	}
 }

@@ -35,7 +35,7 @@ func fetchChunk(ctx context.Context, s *client.PeerSession, info chunk.ChunkInfo
 	defer pipe.Close()
 	streamCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if err := s.Fetch(streamCtx, info.FileID, pipe, nil); err != nil {
+	if err := s.FetchStream(streamCtx, client.StreamRequest{FileID: info.FileID}, pipe, nil); err != nil {
 		return nil, err
 	}
 	return pipe.Decode()
@@ -135,7 +135,7 @@ func TestPeerSessionStreamErrorIsolation(t *testing.T) {
 			return
 		}
 		defer pipe.Close()
-		badErr = s.Fetch(ctx, bogusFile, pipe, nil)
+		badErr = s.FetchStream(ctx, client.StreamRequest{FileID: bogusFile}, pipe, nil)
 	}()
 	wg.Wait()
 
@@ -212,7 +212,7 @@ func TestPeerSessionVerificationErrorIsolation(t *testing.T) {
 			return
 		}
 		defer pipe.Close()
-		badErr = s.Fetch(ctx, m.Chunks[1].FileID, pipe, nil)
+		badErr = s.FetchStream(ctx, client.StreamRequest{FileID: m.Chunks[1].FileID}, pipe, nil)
 	}()
 	wg.Wait()
 
@@ -227,7 +227,7 @@ func TestPeerSessionVerificationErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestPeerSessionClosed: Fetch on a closed session fails fast instead
+// TestPeerSessionClosed: FetchStream on a closed session fails fast instead
 // of hanging.
 func TestPeerSessionClosed(t *testing.T) {
 	c, err := client.New(identity(t, 1), nil)

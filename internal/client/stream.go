@@ -5,7 +5,7 @@ package client
 // 'streamed' to a user in small chunks, rather than forcing the user to
 // wait until the entire file contents have been downloaded". Stream
 // delivers decoded chunks strictly in order while prefetching later
-// chunks in the background.
+// chunks in the background — the fetch engine's ordered mode.
 
 import (
 	"context"
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"asymshare/internal/chunk"
 )
@@ -38,24 +39,23 @@ type chunkResult struct {
 // Stream is an in-order sequence of decoded chunks.
 type Stream struct {
 	cancel  context.CancelFunc
-	results chan chunkResult
+	results chan chunkResult // closed once the engine has stopped
 	next    int
 	total   int
-	pending map[int]chunkResult
+	start   time.Time
 
 	mu    sync.Mutex
 	stats FetchStats
-
-	closeOnce sync.Once
-	done      chan struct{}
 }
 
-// StreamFile starts fetching all chunks of the manifest from the given
-// peers, decoding each independently, and returns a Stream that yields
-// them in order.
+// StreamFile starts fetching the manifest's chunks from the given peers
+// and returns a Stream that yields them in order. It is the fetch
+// engine in ordered mode: at most Prefetch+1 chunks are fetched ahead
+// of the consumer, over one session per peer for the stream's life.
 func (c *Client) StreamFile(ctx context.Context, addrs []string, m *chunk.Manifest,
 	secret []byte, opts StreamOptions) (*Stream, error) {
-	if err := m.Validate(); err != nil {
+	reqs, err := manifestRequests(m, secret)
+	if err != nil {
 		return nil, err
 	}
 	if len(addrs) == 0 {
@@ -72,57 +72,22 @@ func (c *Client) StreamFile(ctx context.Context, addrs []string, m *chunk.Manife
 	streamCtx, cancel := context.WithCancel(ctx)
 	s := &Stream{
 		cancel:  cancel,
-		results: make(chan chunkResult, prefetch+1),
-		total:   len(m.Chunks),
-		pending: make(map[int]chunkResult),
+		results: make(chan chunkResult),
+		total:   len(reqs),
+		start:   time.Now(),
 		stats:   FetchStats{BytesFrom: make(map[string]uint64)},
-		done:    make(chan struct{}),
 	}
-
-	// Workers pull chunk indices from a queue; at most prefetch+1 are
-	// in flight, so the fetch never races far ahead of playback.
-	indices := make(chan int)
-	var wg sync.WaitGroup
-	workers := prefetch + 1
-	if workers > len(m.Chunks) {
-		workers = len(m.Chunks)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range indices {
-				info := m.Chunks[idx]
-				params, err := info.Params(m.Plan)
-				var res chunkResult
-				if err != nil {
-					res = chunkResult{index: idx, err: err}
-				} else {
-					data, stats, err := c.FetchGeneration(streamCtx, addrs, params,
-						info.FileID, secret, info.Digests)
-					res = chunkResult{index: idx, data: data, stats: stats, err: err}
-				}
+	go func() {
+		defer close(s.results)
+		c.fetchChunks(streamCtx, reqs, staticPeers(addrs), prefetch+1, true,
+			func(i int, data []byte, stats FetchStats, err error) bool {
 				select {
-				case s.results <- res:
+				case s.results <- chunkResult{index: i, data: data, stats: stats, err: err}:
+					return err == nil
 				case <-streamCtx.Done():
-					return
+					return false
 				}
-			}
-		}()
-	}
-	go func() {
-		defer close(indices)
-		for i := 0; i < len(m.Chunks); i++ {
-			select {
-			case indices <- i:
-			case <-streamCtx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(s.results)
+			})
 	}()
 	return s, nil
 }
@@ -130,45 +95,26 @@ func (c *Client) StreamFile(ctx context.Context, addrs []string, m *chunk.Manife
 // Next returns the next chunk in file order. It returns io.EOF after
 // the final chunk.
 func (s *Stream) Next() (int, []byte, error) {
-	for {
-		if s.next >= s.total {
-			return 0, nil, io.EOF
-		}
-		if res, ok := s.pending[s.next]; ok {
-			delete(s.pending, s.next)
-			return s.deliver(res)
-		}
-		res, ok := <-s.results
-		if !ok {
-			return 0, nil, fmt.Errorf("client: stream ended at chunk %d of %d", s.next, s.total)
-		}
-		if res.index != s.next {
-			s.pending[res.index] = res
-			continue
-		}
-		return s.deliver(res)
+	if s.next >= s.total {
+		return 0, nil, io.EOF
 	}
-}
-
-func (s *Stream) deliver(res chunkResult) (int, []byte, error) {
+	res, ok := <-s.results
+	if !ok {
+		return 0, nil, fmt.Errorf("client: stream ended at chunk %d of %d", s.next, s.total)
+	}
 	if res.err != nil {
 		return res.index, nil, fmt.Errorf("chunk %d: %w", res.index, res.err)
 	}
 	s.mu.Lock()
-	s.stats.Messages += res.stats.Messages
-	s.stats.Innovative += res.stats.Innovative
-	s.stats.Rejected += res.stats.Rejected
-	s.stats.Elapsed += res.stats.Elapsed
-	for k, v := range res.stats.BytesFrom {
-		s.stats.BytesFrom[k] += v
-	}
+	s.stats.add(res.stats)
+	s.stats.Elapsed = time.Since(s.start)
 	s.mu.Unlock()
 	s.next = res.index + 1
 	return res.index, res.data, nil
 }
 
 // Stats returns the accumulated fetch statistics for the chunks
-// delivered so far.
+// delivered so far; Elapsed runs from StreamFile to the latest one.
 func (s *Stream) Stats() FetchStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -180,18 +126,12 @@ func (s *Stream) Stats() FetchStats {
 	return out
 }
 
-// Close aborts any in-flight fetches. It is safe to call multiple
-// times and after EOF.
+// Close aborts any in-flight fetches and returns once the stream's
+// sessions are closed. It is safe to call multiple times and after EOF.
 func (s *Stream) Close() error {
-	s.closeOnce.Do(func() {
-		s.cancel()
-		close(s.done)
-		// Drain so worker goroutines sending results can exit.
-		go func() {
-			for range s.results { //nolint:revive // drain only
-			}
-		}()
-	})
+	s.cancel()
+	for range s.results { //nolint:revive // drain until the engine stops
+	}
 	return nil
 }
 

@@ -3,7 +3,7 @@ package client_test
 // Regression tests for the dial-timeout fix. The original client used
 // a zero-value net.Dialer with no handshake deadline: a peer whose
 // kernel accepted the connection but whose process never spoke (hung,
-// wedged, or SYN-backlogged) stalled FetchGeneration forever unless
+// wedged, or SYN-backlogged) stalled a fetch forever unless
 // the caller remembered to attach a context deadline. These tests fail
 // against that behaviour and pin the fix: DialTimeout bounds dial plus
 // handshake even on a deadline-free context.
@@ -50,8 +50,8 @@ func TestFetchTimesOutOnUnresponsivePeer(t *testing.T) {
 	// Deliberately no context deadline: the client must bound the
 	// attempt on its own.
 	start := time.Now()
-	_, _, err = c.FetchGeneration(context.Background(), []string{ln.Addr().String()},
-		params, 7, testSecret(), map[uint64]rlnc.Digest{})
+	_, _, err = c.Fetch(context.Background(), client.FetchRequest{Peers: []string{ln.Addr().String()},
+		Params: params, FileID: 7, Secret: testSecret(), Digests: map[uint64]rlnc.Digest{}})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("fetch from a never-responding peer succeeded")

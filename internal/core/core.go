@@ -155,7 +155,8 @@ func (s *System) FetchFile(ctx context.Context, h *Handle, secret []byte) ([]byt
 		return nil, client.FetchStats{}, fmt.Errorf("%w: missing peers", ErrBadHandle)
 	}
 	if len(h.ChunkPeers) > 0 {
-		return s.fetchPlaced(ctx, h, secret)
+		return s.client.FetchManifest(ctx, &h.Manifest, secret,
+			func(_ context.Context, i int) ([]string, error) { return h.PeersForChunk(i), nil })
 	}
 	return s.client.FetchFile(ctx, h.Peers, &h.Manifest, secret)
 }

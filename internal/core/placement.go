@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"asymshare/internal/chunk"
-	"asymshare/internal/client"
 	"asymshare/internal/ring"
 	"asymshare/internal/rlnc"
 )
@@ -84,35 +83,4 @@ func (s *System) ShareFilePlaced(ctx context.Context, name string, data []byte,
 		ChunkPeers: chunkPeers,
 	}
 	return result, nil
-}
-
-// fetchPlaced retrieves a handle whose chunks live on different peer
-// subsets.
-func (s *System) fetchPlaced(ctx context.Context, h *Handle, secret []byte) ([]byte, client.FetchStats, error) {
-	total := client.FetchStats{BytesFrom: make(map[string]uint64)}
-	pieces := make([][]byte, len(h.Manifest.Chunks))
-	for i, info := range h.Manifest.Chunks {
-		params, err := info.Params(h.Manifest.Plan)
-		if err != nil {
-			return nil, total, err
-		}
-		data, stats, err := s.client.FetchGeneration(ctx, h.PeersForChunk(i), params,
-			info.FileID, secret, info.Digests)
-		if err != nil {
-			return nil, total, fmt.Errorf("core: chunk %d: %w", i, err)
-		}
-		pieces[i] = data
-		total.Messages += stats.Messages
-		total.Innovative += stats.Innovative
-		total.Rejected += stats.Rejected
-		total.Elapsed += stats.Elapsed
-		for k, v := range stats.BytesFrom {
-			total.BytesFrom[k] += v
-		}
-	}
-	data, err := chunk.Assemble(&h.Manifest, pieces)
-	if err != nil {
-		return nil, total, err
-	}
-	return data, total, nil
 }

@@ -1,7 +1,7 @@
 package dht
 
 // Concurrency coverage for the routing table and the Alpha-parallel
-// lookup path, meant to run under -race (make race-dht). The seeded
+// lookup path, meant to run under -race (make race). The seeded
 // package had none; the gossip engine now drives RandomContacts from
 // many goroutines while RPC handlers observe senders concurrently.
 

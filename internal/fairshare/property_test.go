@@ -18,6 +18,7 @@ func allPolicies(ids []ID) (serving, withholding []Allocator) {
 		BiasedContribution{},
 		BiasedContribution{Beta: 0.5},
 		Classes{Weights: map[ServiceClass]float64{0: 1, 1: 4}},
+		customSplit{},
 	}
 	withholding = []Allocator{
 		Withhold{},
@@ -291,47 +292,18 @@ func TestClassesWeighting(t *testing.T) {
 	}
 }
 
-// TestLegacyShim exercises the deprecated adapters both ways.
-func TestLegacyShim(t *testing.T) {
-	l := NewLedger(0)
-	l.Credit("a", 300)
-	l.Credit("b", 100)
-	// New-style policy through the old map call shape.
-	m := AllocateMap(PairwiseProportional{}, 1000, []ID{"a", "b"}, l)
-	if !almostEqual(m["a"], 750) || !almostEqual(m["b"], 250) {
-		t.Errorf("AllocateMap = %v", m)
-	}
-	if !almostEqual(Sum(m), 1000) {
-		t.Errorf("Sum = %v", Sum(m))
-	}
-	// Old-style policy through the new seam.
-	old := legacyEqualSplit{}
-	g := WrapLegacy(old).Allocate(NewRequest(100, []ID{"a", "b"}, l))
-	if !almostEqual(g.Rate("a"), 50) || !almostEqual(g.Rate("b"), 50) {
-		t.Errorf("WrapLegacy = %v", g)
-	}
-	// Non-*Ledger views degrade to an empty ledger rather than panic.
-	g = WrapLegacy(old).Allocate(NewRequest(100, []ID{"a"}, NewShardedLedger(0, 8)))
-	if !almostEqual(g.Total(), 100) {
-		t.Errorf("WrapLegacy with bounded view = %v", g)
-	}
-}
+// customSplit is a policy PolicyName does not know: a plain Allocator
+// implementation splitting capacity evenly, standing in for one written
+// outside the package.
+type customSplit struct{}
 
-// legacyEqualSplit is an old-signature allocator for shim tests.
-type legacyEqualSplit struct{}
-
-func (legacyEqualSplit) Allocate(capacity float64, requesters []ID, _ *Ledger) map[ID]float64 {
-	out := make(map[ID]float64, len(requesters))
-	if len(requesters) == 0 {
-		return out
-	}
-	for _, id := range requesters {
-		out[id] = capacity / float64(len(requesters))
+func (customSplit) Allocate(req AllocRequest) Grants {
+	out := req.grants()
+	for _, r := range req.Requesters {
+		out = append(out, Grant{ID: r.ID, Rate: req.Capacity / float64(len(req.Requesters))})
 	}
 	return out
 }
-
-var _ LegacyAllocator = legacyEqualSplit{}
 
 // TestPolicyName pins the CLI/metrics names.
 func TestPolicyName(t *testing.T) {
@@ -344,7 +316,7 @@ func TestPolicyName(t *testing.T) {
 		"titfortat": TitForTat{},
 		"bci":       BiasedContribution{},
 		"classes":   Classes{},
-		"custom":    WrapLegacy(legacyEqualSplit{}),
+		"custom":    customSplit{},
 	}
 	for want, p := range cases {
 		if got := PolicyName(p); got != want {

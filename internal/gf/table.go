@@ -123,7 +123,7 @@ func (f *tableField) AddScaledSlice(dst, src []byte, c uint32) {
 	case Bits4:
 		f.addScaled4(dst, src, c)
 	case Bits8:
-		f.addScaled8(dst, src, c)
+		MulAddSlice(f, dst, src, c) // the nibble-split kernel, SIMD where available
 	case Bits16:
 		f.addScaled16(dst, src, c)
 	default:
@@ -185,19 +185,6 @@ func (f *tableField) packedNibbleTable(c uint32) [256]byte {
 
 func (f *tableField) addScaled4(dst, src []byte, c uint32) {
 	row := f.packedNibbleTable(c)
-	for i, b := range src {
-		dst[i] ^= row[b]
-	}
-}
-
-func (f *tableField) addScaled8(dst, src []byte, c uint32) {
-	// A flat 256-entry product row turns the inner loop into a single
-	// table lookup + xor per byte.
-	var row [256]byte
-	lc := f.log[c]
-	for s := uint32(1); s < 256; s++ {
-		row[s] = byte(f.exp[lc+f.log[s]])
-	}
 	for i, b := range src {
 		dst[i] ^= row[b]
 	}

@@ -300,7 +300,8 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			wg.Add(1)
 			go func(i int, p *participant) {
 				defer wg.Done()
-				data, stats, err := p.client.FetchGeneration(ctx, addrs, p.params, p.fileID, secret, nil)
+				data, stats, err := p.client.Fetch(ctx, client.FetchRequest{
+					Peers: addrs, Params: p.params, FileID: p.fileID, Secret: secret})
 				if err != nil {
 					errs[i] = err
 					return

@@ -286,7 +286,7 @@ func (c *Conn) writeSegment(seg []byte) error {
 		}
 	}
 	if pol.cuts(c.ordinal) && c.sent+int64(len(seg)) > pol.CutAfterBytes {
-		f.events.add(c.key.String(), "conn#%d cut after %d bytes", c.ordinal, c.sent)
+		f.events.addCut(c.key.String(), "conn#%d cut after %d bytes", c.ordinal, c.sent)
 		c.pair.sever(ErrSevered)
 		return ErrSevered
 	}

@@ -7,16 +7,22 @@ import (
 	"sync"
 )
 
-// EventLog records the fabric's fault-model decisions — listens, dial
-// outcomes (ok / dropped / refused / blackholed), mid-stream cuts and
-// topology operations — grouped per directed link. Within one link the
-// sequence is deterministic for a given fabric seed and scenario, and
-// Dump orders links lexicographically, so two runs of the same
-// scenario from the same seed produce byte-identical dumps regardless
-// of goroutine interleaving across links.
+// EventLog records the fabric's seeded fault-model decisions —
+// listens, dial outcomes (ok / dropped / refused / blackholed),
+// partitions, blackholes and the connections they sever — grouped per
+// directed link. Within one link the sequence is deterministic for a
+// given fabric seed and scenario, and Dump orders links
+// lexicographically, so two runs of the same scenario from the same
+// seed produce byte-identical dumps regardless of goroutine
+// interleaving across links.
+//
+// CutAfterBytes severances are kept apart, in Cuts: whether a cut fires
+// depends on how far a peer wrote before its client hung up, which is a
+// traffic outcome, not a seeded decision, so Dump leaves them out.
 type EventLog struct {
 	mu      sync.Mutex
 	perLink map[string][]string
+	cuts    []string
 }
 
 func newEventLog() *EventLog {
@@ -29,7 +35,22 @@ func (l *EventLog) add(link, format string, args ...any) {
 	l.perLink[link] = append(l.perLink[link], fmt.Sprintf(format, args...))
 }
 
-// Dump renders the full log, one "link | event" line per entry, links
+// addCut records one CutAfterBytes severance on link.
+func (l *EventLog) addCut(link, format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.cuts = append(l.cuts, link+" | "+fmt.Sprintf(format, args...))
+}
+
+// Cuts returns the CutAfterBytes severances in occurrence order, one
+// "link | event" entry each.
+func (l *EventLog) Cuts() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.cuts...)
+}
+
+// Dump renders the seeded decisions, one "link | event" line per entry, links
 // sorted, events in occurrence order within each link.
 func (l *EventLog) Dump() string {
 	l.mu.Lock()
@@ -48,7 +69,7 @@ func (l *EventLog) Dump() string {
 	return b.String()
 }
 
-// Count returns how many logged events contain substr.
+// Count returns how many seeded decisions contain substr.
 func (l *EventLog) Count(substr string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"strings"
 	"testing"
 	"time"
 
@@ -31,8 +30,8 @@ func testCtx(t *testing.T) context.Context {
 // three peers (any two suffice to decode), sever the third peer's
 // serving direction mid-stream — the deterministic equivalent of a
 // partition landing while its DATA stream is in flight — and fetch.
-// Returns the decoded bytes and the fabric's event-log dump.
-func runPartitionFetch(t *testing.T, seed int64) ([]byte, string, *Generation) {
+// Returns the decoded bytes and the fabric's event log.
+func runPartitionFetch(t *testing.T, seed int64) ([]byte, *netsim.EventLog, *Generation) {
 	t.Helper()
 	ctx := testCtx(t)
 	c := Start(t, seed, 3)
@@ -65,14 +64,16 @@ func runPartitionFetch(t *testing.T, seed int64) ([]byte, string, *Generation) {
 	// No redials: the dial sequence stays fixed, so the event log is
 	// byte-identical across replays of the same seed.
 	cl := c.UserClient(client.Options{PeerRetries: -1})
-	data, stats, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+	data, stats, err := cl.Fetch(ctx, client.FetchRequest{
+		Peers: addrs, Params: gen.Params, FileID: gen.FileID, Secret: gen.Secret,
+		Digests: gen.Digests})
 	if err != nil {
 		t.Fatalf("fetch with partitioned peer: %v", err)
 	}
 	if stats.Innovative < gen.Params.K {
 		t.Fatalf("decode completed with rank %d < k=%d", stats.Innovative, gen.Params.K)
 	}
-	return data, c.Fabric.Events().Dump(), gen
+	return data, c.Fabric.Events(), gen
 }
 
 func TestFetchSurvivesMidStreamPeerLoss(t *testing.T) {
@@ -81,8 +82,8 @@ func TestFetchSurvivesMidStreamPeerLoss(t *testing.T) {
 	if !bytes.Equal(data, gen.Data) {
 		t.Fatal("decoded bytes differ from original")
 	}
-	if !strings.Contains(events, "cut after") {
-		t.Fatalf("victim link was never cut; events:\n%s", events)
+	if len(events.Cuts()) == 0 {
+		t.Fatalf("victim link was never cut; events:\n%s", events.Dump())
 	}
 }
 
@@ -93,12 +94,12 @@ func TestPartitionedFetchReplaysFromSeed(t *testing.T) {
 	seed := Seed(t, 1234)
 	_, first, _ := runPartitionFetch(t, seed)
 	_, second, _ := runPartitionFetch(t, seed)
-	if first != second {
+	if first.Dump() != second.Dump() {
 		t.Fatalf("same seed %d diverged:\n--- run 1 ---\n%s--- run 2 ---\n%s",
-			seed, first, second)
+			seed, first.Dump(), second.Dump())
 	}
 	_, other, _ := runPartitionFetch(t, seed+1)
-	if other == first {
+	if other.Dump() == first.Dump() {
 		t.Fatal("different seeds produced identical event logs")
 	}
 }
@@ -107,13 +108,13 @@ func TestPartitionedFetchReplaysFromSeed(t *testing.T) {
 // are required to decode (k=8, 4 messages each) and peer1's first
 // serving connection is severed mid-stream; only a redial can finish.
 //
-// Before the fix, client.fetchFromPeer treated any EOF as an orderly
+// Before the fix, the client treated any EOF as an orderly
 // end-of-stream: the severed connection returned nil, no retry
-// happened, and FetchGeneration failed with ErrIncomplete at rank < k.
-// With abrupt closes classified as retriable (errPeerAborted) and
-// Options.PeerRetries redialing, the second connection survives
-// (CutConns bounds the cut to the first fetch attempt) and the decode
-// completes.
+// happened, and the fetch failed with ErrIncomplete at rank < k. With
+// abrupt closes classified as retriable (errPeerAborted) and
+// Options.PeerRetries redialing the dead session, the second
+// connection survives (CutConns bounds the cut to the first fetch
+// attempt) and the decode completes.
 func TestFetchRetriesAfterMidStreamCut(t *testing.T) {
 	seed := Seed(t, 99)
 	ctx := testCtx(t)
@@ -127,15 +128,37 @@ func TestFetchRetriesAfterMidStreamCut(t *testing.T) {
 
 	cl := c.UserClient(client.Options{RetryBackoff: 20 * time.Millisecond})
 	addrs := c.Lookup(ctx, HostUser, gen.FileID)
-	data, _, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+	data, _, err := cl.Fetch(ctx, client.FetchRequest{
+		Peers: addrs, Params: gen.Params, FileID: gen.FileID, Secret: gen.Secret,
+		Digests: gen.Digests})
 	if err != nil {
 		t.Fatalf("fetch did not fail over to a redial: %v", err)
 	}
 	if !bytes.Equal(data, gen.Data) {
 		t.Fatal("decoded bytes differ from original")
 	}
-	if n := c.Fabric.Events().Count("cut after"); n != 1 {
-		t.Fatalf("expected exactly one mid-stream cut, saw %d", n)
+	if cuts := c.Fabric.Events().Cuts(); len(cuts) != 1 {
+		t.Fatalf("expected exactly one mid-stream cut, saw %q", cuts)
+	}
+
+	// A hedged client redials the same way: its ladder walks both
+	// peers, since each holds half of the generation, and the stream
+	// that is cut must recover rather than end the ladder.
+	c3 := Start(t, seed, 2)
+	gen3 := c3.SeedGeneration(ctx, 43, 8, 512, 4096, 4)
+	c3.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200, CutConns: 2})
+	hedged := c3.UserClient(client.Options{RetryBackoff: 20 * time.Millisecond, Hedge: true})
+	data, _, err = hedged.Fetch(ctx, client.FetchRequest{
+		Peers: c3.Lookup(ctx, HostUser, gen3.FileID), Params: gen3.Params, FileID: gen3.FileID,
+		Secret: gen3.Secret, Digests: gen3.Digests})
+	if err != nil {
+		t.Fatalf("hedged fetch did not redial after the cut: %v", err)
+	}
+	if !bytes.Equal(data, gen3.Data) {
+		t.Fatal("hedged fetch decoded different bytes")
+	}
+	if cuts := c3.Fabric.Events().Cuts(); len(cuts) != 1 {
+		t.Fatalf("hedged fetch: expected exactly one mid-stream cut, saw %q", cuts)
 	}
 
 	// The same scenario without retries reproduces the pre-fix
@@ -144,8 +167,9 @@ func TestFetchRetriesAfterMidStreamCut(t *testing.T) {
 	gen2 := c2.SeedGeneration(ctx, 43, 8, 512, 4096, 4)
 	c2.Fabric.SetLink("peer1", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200, CutConns: 2})
 	noRetry := c2.UserClient(client.Options{PeerRetries: -1})
-	_, _, err = noRetry.FetchGeneration(ctx, c2.Lookup(ctx, HostUser, gen2.FileID),
-		gen2.Params, gen2.FileID, gen2.Secret, gen2.Digests)
+	_, _, err = noRetry.Fetch(ctx, client.FetchRequest{
+		Peers: c2.Lookup(ctx, HostUser, gen2.FileID), Params: gen2.Params, FileID: gen2.FileID,
+		Secret: gen2.Secret, Digests: gen2.Digests})
 	if !errors.Is(err, client.ErrIncomplete) {
 		t.Fatalf("retry-less fetch after cut = %v, want ErrIncomplete", err)
 	}
@@ -279,7 +303,9 @@ func TestGrantsReconvergeAfterPartitionHeals(t *testing.T) {
 	// receipt for every peer that actually served bytes.
 	fetchAndCredit := func(addrs []string) {
 		t.Helper()
-		_, stats, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+		_, stats, err := cl.Fetch(ctx, client.FetchRequest{
+			Peers: addrs, Params: gen.Params, FileID: gen.FileID, Secret: gen.Secret,
+			Digests: gen.Digests})
 		if err != nil {
 			t.Fatalf("fetch from %v: %v", addrs, err)
 		}

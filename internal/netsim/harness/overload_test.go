@@ -312,3 +312,81 @@ func TestHedgeReissuesStalledChunkOnNextPeer(t *testing.T) {
 	t.Logf("fetched %d bytes in %v despite a 50 B/s peer; hedges launched: %d",
 		len(got), stats.Elapsed, reg.Counter(client.MetricHedgeLaunched, "").Value())
 }
+
+// TestHedgedCrowdWaitsOutBusySheds: a crowd of hedged clients against
+// two peers that each serve one stream at a time. Every chunk's ladder
+// is shed at once, so hedging alone cannot finish anything; each
+// ladder stream must wait out its RETRY_AFTER and ask again, as the
+// default policy does, until every client decodes byte-identical.
+func TestHedgedCrowdWaitsOutBusySheds(t *testing.T) {
+	seed := Seed(t, 43)
+	ctx := testCtx(t)
+	const (
+		crowd    = 6
+		k        = 16
+		pieceLen = 2048
+	)
+	c := Start(t, seed, 0)
+	for i, host := range []string{"hot0", "hot1"} {
+		id := testIdentity(t, byte(80+i))
+		n, err := peer.New(peer.Config{
+			Identity:          id,
+			Store:             store.NewMemory(),
+			UploadBytesPerSec: 256 << 10,
+			StreamBurst:       4096,
+			MaxStreams:        1,
+			ReallocInterval:   50 * time.Millisecond,
+			Transport:         c.Fabric.Host(host),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Start(":0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.Close() })
+		c.Peers = append(c.Peers, &Peer{Host: host, ID: id, Node: n, Addr: n.Addr().String()})
+	}
+	gen := c.SeedGeneration(ctx, 0xB05E, k, pieceLen, k*pieceLen, k)
+	addrs := []string{c.Peers[0].Addr, c.Peers[1].Addr}
+
+	reg := metrics.NewRegistry()
+	var wg sync.WaitGroup
+	fetchErr := make([]error, crowd)
+	for i := 0; i < crowd; i++ {
+		id := testIdentity(t, byte(120+i))
+		for _, p := range c.Peers {
+			p.Node.Ledger().Credit(auth.Fingerprint(id.Public()), float64(uint64(1)<<i))
+		}
+		cl := c.Client("h"+fmt.Sprint(i), id, client.Options{Hedge: true, HedgeDelay: 100 * time.Millisecond})
+		cl.Instrument(reg)
+		wg.Add(1)
+		go func(i int, cl *client.Client) {
+			defer wg.Done()
+			data, _, err := cl.Fetch(ctx, client.FetchRequest{Peers: addrs, Params: gen.Params,
+				FileID: gen.FileID, Secret: gen.Secret, Digests: gen.Digests})
+			if err == nil && !bytes.Equal(data, gen.Data) {
+				err = fmt.Errorf("decoded different bytes")
+			}
+			fetchErr[i] = err
+		}(i, cl)
+	}
+	wg.Wait()
+	for i, err := range fetchErr {
+		if err != nil {
+			t.Errorf("hedged client %d: %v", i, err)
+		}
+	}
+	var sheds int64
+	for _, p := range c.Peers {
+		sheds += p.Node.OverloadStats().Sheds
+	}
+	if sheds == 0 {
+		t.Fatal("a crowd of 6 on two 1-slot peers produced zero sheds; the scenario is inert")
+	}
+	if v := reg.Counter(client.MetricShedsObserved, "").Value(); v == 0 {
+		t.Error("hedged clients observed no BUSY sheds despite peer-side sheds")
+	}
+	t.Logf("%d hedged clients done: %d peer-side sheds, %d observed",
+		crowd, sheds, reg.Counter(client.MetricShedsObserved, "").Value())
+}

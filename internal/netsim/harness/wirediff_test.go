@@ -1,13 +1,11 @@
 package harness
 
-// ISSUE 8 satellite 2: the pooled/muxed wire hot path must be
-// observationally identical to the legacy ReadFrame/WriteFrame path —
-// same decoded bytes — under deterministic chaos on the netsim fabric:
-// mid-stream connection cuts, per-link latency and asymmetric rate
-// caps. On top of byte identity, every scenario asserts the
-// wire.DefaultPool teardown invariants: all pooled frame buffers
-// released (no leaks) and no double-releases, even on the failure
-// paths the chaos forces.
+// The pooled, multiplexed wire hot path under deterministic chaos on
+// the netsim fabric — mid-stream connection cuts, per-link latency and
+// asymmetric rate caps — must still decode the original bytes. On top
+// of byte identity, every scenario asserts the wire.DefaultPool
+// teardown invariants: all pooled frame buffers released (no leaks) and
+// no double-releases, even on the failure paths the chaos forces.
 
 import (
 	"bytes"
@@ -53,11 +51,11 @@ func checkDefaultPool(t *testing.T, before wire.PoolStats) {
 	}
 }
 
-// TestWireDifferentialChaos fetches the same generation twice — once
-// over the legacy wire path, once over the pooled one — while the
-// fabric injects latency, an asymmetric rate cap, and a mid-stream cut
-// on one peer. Both fetches must succeed (the two surviving peers
-// jointly decode) and produce byte-identical output.
+// TestWireDifferentialChaos fetches one generation through the fetch
+// engine, with each decode engine, while the fabric injects latency,
+// an asymmetric rate cap, and a mid-stream cut on one peer. Every fetch
+// must succeed (the two surviving peers jointly decode) and reproduce
+// the original bytes.
 func TestWireDifferentialChaos(t *testing.T) {
 	seed := Seed(t, 7788)
 	ctx := testCtx(t)
@@ -75,35 +73,25 @@ func TestWireDifferentialChaos(t *testing.T) {
 	if len(addrs) != 3 {
 		t.Fatalf("tracker returned %d peers, want 3", len(addrs))
 	}
-
-	fetch := func(opts client.Options) []byte {
-		t.Helper()
-		opts.PeerRetries = -1 // fixed dial sequence: same faults hit both paths
-		cl := c.UserClient(opts)
-		data, _, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+	cl := c.UserClient(client.Options{PeerRetries: -1})
+	for _, workers := range []int{-1, 0} {
+		data, _, err := cl.Fetch(ctx, client.FetchRequest{Peers: addrs, Params: gen.Params,
+			FileID: gen.FileID, Secret: gen.Secret, Digests: gen.Digests, DecodeWorkers: workers})
 		if err != nil {
-			t.Fatalf("fetch (legacy=%v) under chaos: %v", opts.LegacyWire, err)
+			t.Fatalf("fetch (DecodeWorkers=%d) under chaos: %v", workers, err)
 		}
-		return data
-	}
-
-	legacy := fetch(client.Options{LegacyWire: true})
-	pooled := fetch(client.Options{})
-
-	if !bytes.Equal(legacy, gen.Data) {
-		t.Fatal("legacy path decoded bytes differ from original")
-	}
-	if !bytes.Equal(pooled, legacy) {
-		t.Fatal("pooled path output diverges from legacy path")
+		if !bytes.Equal(data, gen.Data) {
+			t.Fatalf("fetch (DecodeWorkers=%d) decoded bytes differ from original", workers)
+		}
 	}
 	checkDefaultPool(t, before)
 }
 
-// TestWireMuxDifferentialChaos runs the multiplexed session path under
-// the same chaos: one PeerSession per peer feeds a shared pipeline,
-// peer2's session is severed mid-stream, and the survivors complete
-// the decode. The result must match a legacy-path fetch byte for byte,
-// and the severed session must not leak pooled buffers.
+// TestWireMuxDifferentialChaos drives PeerSessions by hand under the
+// same chaos: one session per peer feeds a shared pipeline, peer2's
+// session is severed mid-stream, and the survivors complete the decode.
+// The result must match the original byte for byte, and the severed
+// session must not leak pooled buffers.
 func TestWireMuxDifferentialChaos(t *testing.T) {
 	seed := Seed(t, 9911)
 	ctx := testCtx(t)
@@ -116,13 +104,6 @@ func TestWireMuxDifferentialChaos(t *testing.T) {
 	c.Fabric.SetLink("peer2", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200})
 
 	addrs := c.Lookup(ctx, HostUser, gen.FileID)
-
-	// Reference result over the legacy wire path.
-	legacyClient := c.UserClient(client.Options{LegacyWire: true, PeerRetries: -1})
-	want, _, err := legacyClient.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
-	if err != nil {
-		t.Fatalf("legacy reference fetch: %v", err)
-	}
 
 	// Muxed fetch: every peer streams into one pipeline over its own
 	// session; the first session to fill the rank cancels the rest.
@@ -148,7 +129,7 @@ func TestWireMuxDifferentialChaos(t *testing.T) {
 			// The severed session errors; survivors finish. Either way
 			// the pipeline arbitrates, so per-session errors are not
 			// fatal here.
-			_ = s.Fetch(fetchCtx, gen.FileID, pipe, nil)
+			_ = s.FetchStream(fetchCtx, client.StreamRequest{FileID: gen.FileID}, pipe, nil)
 			if pipe.Done() {
 				cancel()
 			}
@@ -162,18 +143,15 @@ func TestWireMuxDifferentialChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("muxed path output diverges from legacy path")
-	}
 	if !bytes.Equal(got, gen.Data) {
 		t.Fatal("muxed path decoded bytes differ from original")
 	}
 	checkDefaultPool(t, before)
 }
 
-// TestWireDifferentialReplays pins determinism for the pooled path:
-// the same fabric seed must reproduce the identical event log across
-// two pooled-path runs, exactly as the legacy path always has.
+// TestWireDifferentialReplays pins determinism for the fetch engine:
+// the same fabric seed must reproduce the identical event log of seeded
+// decisions across two runs, and the same decoded bytes.
 func TestWireDifferentialReplays(t *testing.T) {
 	seed := Seed(t, 7788)
 	run := func() ([]byte, string) {
@@ -183,7 +161,9 @@ func TestWireDifferentialReplays(t *testing.T) {
 		c.Fabric.SetLink("peer2", HostUser, netsim.LinkPolicy{CutAfterBytes: 1200})
 		addrs := c.Lookup(ctx, HostUser, gen.FileID)
 		cl := c.UserClient(client.Options{PeerRetries: -1})
-		data, _, err := cl.FetchGeneration(ctx, addrs, gen.Params, gen.FileID, gen.Secret, gen.Digests)
+		data, _, err := cl.Fetch(ctx, client.FetchRequest{
+			Peers: addrs, Params: gen.Params, FileID: gen.FileID, Secret: gen.Secret,
+			Digests: gen.Digests})
 		if err != nil {
 			t.Fatalf("pooled fetch: %v", err)
 		}

@@ -5,7 +5,8 @@
 // partitions and blackholes. All randomness flows from a single seed
 // through per-link, per-dial RNGs, so a failure sequence replays
 // identically from its seed regardless of goroutine scheduling — the
-// EventLog captures every fault-model decision for comparison.
+// EventLog captures every seeded fault-model decision for comparison,
+// and lists the traffic-dependent mid-stream cuts beside them.
 //
 // The fabric exists to drive the real peer/client/tracker protocol
 // stack through adversity deterministically under go test -race; see
@@ -194,7 +195,7 @@ func (f *Fabric) allocPortLocked(host string) int {
 
 // connect builds a connection pair for a dial on link key with the
 // given ordinal. Per-direction RNGs derive from (seed, link, ordinal)
-// so jitter and cut decisions replay from the seed.
+// so jitter draws replay from the seed.
 func (f *Fabric) connect(key dirKey, ordinal int64, remoteAddr string) (cli, srv *Conn) {
 	f.mu.Lock()
 	localAddr := fmt.Sprintf("%s:%d", key.src, f.allocPortLocked(key.src))

@@ -373,8 +373,8 @@ func TestCutAfterBytesSeversMidStream(t *testing.T) {
 	if err != nil || n2 != 10_000 {
 		t.Fatalf("retry read = %d bytes, err %v", n2, err)
 	}
-	if f.Events().Count("cut") != 1 {
-		t.Fatalf("cut events = %d, want 1", f.Events().Count("cut"))
+	if cuts := f.Events().Cuts(); len(cuts) != 1 {
+		t.Fatalf("cuts = %q, want 1", cuts)
 	}
 }
 

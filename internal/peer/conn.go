@@ -1,9 +1,9 @@
 package peer
 
 // Per-connection protocol handling. After the mutual handshake the peer
-// processes PUT (initialization uploads), GET / GET_MUX (download
-// requests, served by shaped writer goroutines), STOP, FEEDBACK (owner
-// only) and BYE frames. DATA writes and control replies share the
+// processes PUT (initialization uploads), GET_MUX (download requests,
+// served by shaped writer goroutines), STOP, FEEDBACK (owner only) and
+// BYE frames. DATA writes and control replies share the
 // connection, so all writes go through a per-connection mutex wrapping
 // one batched FrameWriter.
 //
@@ -14,10 +14,10 @@ package peer
 // the payload handed to writev untouched — so a DATA frame reaches the
 // socket without marshaling and without steady-state allocation.
 //
-// GET_MUX requests differ from legacy GET only in failure scoping: a
-// refused or failed stream is answered with a STREAM_ERROR frame naming
-// the file-id and the connection (and every other stream on it) stays
-// usable, where the legacy path answers with a connection-level ERROR.
+// Downloads are GET_MUX streams: a refused or failed stream is answered
+// with a STREAM_ERROR (or BUSY) frame naming the file-id, and the
+// connection — with every other stream on it — stays usable. The plain
+// one-stream GET frame is refused like any unexpected frame.
 
 import (
 	"context"
@@ -177,10 +177,8 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 			n.log.Debug("patch failed", "client", client, "err", err)
 			return true
 		}
-	case wire.TypeGet:
-		return cs.handleGet(payload, false)
 	case wire.TypeGetMux:
-		return cs.handleGet(payload, true)
+		return cs.handleGet(payload)
 	case wire.TypeStop:
 		var stop wire.Stop
 		if err := stop.Unmarshal(payload); err != nil {
@@ -248,24 +246,23 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 	return false
 }
 
-// handleGet starts one download stream. mux selects the failure scope:
-// stream-scoped STREAM_ERROR frames that leave the connection (and its
-// other streams) running, versus the legacy connection-level ERROR. A
-// payload that does not even parse is a connection fault either way.
-func (cs *connState) handleGet(payload []byte, mux bool) bool {
+// handleGet starts one download stream. A refusal is stream-scoped and
+// leaves the connection (and its other streams) running; a payload that
+// does not even parse is a connection fault.
+func (cs *connState) handleGet(payload []byte) bool {
 	var get wire.Get
 	if err := get.Unmarshal(payload); err != nil {
 		wire.SendError(cs.conn, wire.CodeBadRequest, "malformed get")
 		return true
 	}
-	s, err := cs.n.startStream(cs, get, mux)
+	s, err := cs.n.startStream(cs, get)
 	if err != nil {
 		var remote *wire.RemoteError
 		if !errors.As(err, &remote) {
 			cs.n.log.Debug("get failed", "client", cs.client, "err", err)
 		}
 		// The refusal frame has been sent; the connection stays open for
-		// further requests in both modes.
+		// further requests.
 		return false
 	}
 	cs.mu.Lock()
@@ -373,16 +370,11 @@ func (n *Node) handleAudit(cw *connWriter, client fairshare.ID, payload []byte) 
 	return cw.writeFrame(wire.TypeAuditResponse, resp.Marshal())
 }
 
-// startStream begins serving a GET request on its own goroutine.
-func (n *Node) startStream(cs *connState, get wire.Get, mux bool) (*stream, error) {
+// startStream begins serving a GET_MUX request on its own goroutine.
+func (n *Node) startStream(cs *connState, get wire.Get) (*stream, error) {
 	msgs, err := n.cfg.Store.Messages(get.FileID)
 	if err != nil {
-		reason := fmt.Sprintf("file %d", get.FileID)
-		if mux {
-			_ = cs.cw.writeStreamError(get.FileID, wire.CodeUnknownFile, reason)
-		} else {
-			_ = cs.cw.writeErrorFrame(wire.CodeUnknownFile, reason)
-		}
+		_ = cs.cw.writeStreamError(get.FileID, wire.CodeUnknownFile, fmt.Sprintf("file %d", get.FileID))
 		return nil, &wire.RemoteError{Code: wire.CodeUnknownFile}
 	}
 	if get.Limit > 0 && int(get.Limit) < len(msgs) {
@@ -454,7 +446,9 @@ func (n *Node) startStream(cs *connState, get wire.Get, mux bool) (*stream, erro
 // same flush (Available is checked before WaitN, so the limiter can
 // never block while the connection write lock is held). An unlimited
 // peer skips the bucket entirely — no token math, no timer sleeps —
-// and batches straight up to the flush watermark.
+// and batches straight up to the flush watermark. Served bytes are
+// counted as each frame is queued, ahead of the write; a failed write
+// ends the stream, so at most its last batch is over-counted.
 func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs []*rlnc.Message) {
 	var hdr [rlnc.MessageHeaderBytes]byte
 	for i := 0; i < len(msgs); {
@@ -469,8 +463,7 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		// Brownout halves the batch budget per flush, re-read each
 		// round so the degradation tracks admission load live.
 		batchBytes := n.currentBatchBytes()
-		msg := msgs[i]
-		need := rlnc.MessageHeaderBytes + len(msg.Payload)
+		need := rlnc.MessageHeaderBytes + len(msgs[i].Payload)
 		if s.limited {
 			if err := s.bucket.WaitN(ctx, need); err != nil {
 				return // cancelled or burst misconfiguration
@@ -480,17 +473,11 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		}
 		cw.mu.Lock()
 		flushStart := time.Now()
-		msg.PutHeader(hdr[:])
-		if err := cw.fw.QueueSpan(wire.TypeData, hdr[:], msg.Payload); err != nil {
-			cw.mu.Unlock()
-			return
-		}
-		sent := need
-		i++
-		for i < len(msgs) && cw.fw.Queued() < batchBytes {
-			next := msgs[i]
-			nn := rlnc.MessageHeaderBytes + len(next.Payload)
-			if s.limited {
+		sent := 0
+		for first := true; i < len(msgs) && (first || cw.fw.Queued() < batchBytes); first = false {
+			msg := msgs[i]
+			nn := rlnc.MessageHeaderBytes + len(msg.Payload)
+			if !first && s.limited {
 				if s.bucket.Available() < float64(nn) {
 					break
 				}
@@ -499,8 +486,13 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 					return
 				}
 			}
-			next.PutHeader(hdr[:])
-			if err := cw.fw.QueueSpan(wire.TypeData, hdr[:], next.Payload); err != nil {
+			// Served bytes are counted as they are queued, before the
+			// writer can put them on the socket (it may flush inside
+			// QueueSpan), so the metric is current by the time the
+			// requester holds the bytes.
+			n.recordServed(s.client, nn)
+			msg.PutHeader(hdr[:])
+			if err := cw.fw.QueueSpan(wire.TypeData, hdr[:], msg.Payload); err != nil {
 				cw.mu.Unlock()
 				return
 			}
@@ -521,7 +513,6 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 			return
 		}
 		n.recordFlush(sent, flushDur)
-		n.recordServed(s.client, sent)
 	}
 	// All stored messages sent: signal end-of-stream with a STOP frame
 	// so the downloader knows this peer is exhausted.

@@ -11,14 +11,18 @@ import (
 
 // Exported peer metric names (see DESIGN.md §7).
 const (
-	MetricConnections    = "peer_connections_total"
-	MetricConnsActive    = "peer_connections_active"
-	MetricConnsShed      = "peer_connections_shed_total"
-	MetricAcceptErrors   = "peer_accept_errors_total"
-	MetricStreamsActive  = "peer_streams_active"
-	MetricCapacity       = "peer_capacity_bytes_per_second"
-	MetricGrantedRate    = "peer_granted_rate_bytes_per_second"
-	MetricReallocDur     = "peer_realloc_duration_seconds"
+	MetricConnections   = "peer_connections_total"
+	MetricConnsActive   = "peer_connections_active"
+	MetricConnsShed     = "peer_connections_shed_total"
+	MetricAcceptErrors  = "peer_accept_errors_total"
+	MetricStreamsActive = "peer_streams_active"
+	MetricCapacity      = "peer_capacity_bytes_per_second"
+	MetricGrantedRate   = "peer_granted_rate_bytes_per_second"
+	MetricReallocDur    = "peer_realloc_duration_seconds"
+	// MetricServedBytes counts DATA bytes as they are queued to a
+	// connection's writer, before the write, so it is current once the
+	// requester holds them. A failed write ends its stream, so at most
+	// that stream's last batch is counted but never delivered.
 	MetricServedBytes    = "peer_served_bytes_total"
 	MetricServedRate     = "peer_served_bytes_rate"
 	MetricStoredBytes    = "peer_stored_bytes_total"
@@ -85,7 +89,7 @@ func newNodeMetrics(reg *metrics.Registry) nodeMetrics {
 		capacity:       reg.Gauge(MetricCapacity, "Upload capacity divided by the last realloc tick (configured or estimated)."),
 		reallocDur:     reg.Histogram(MetricReallocDur, "Time to recompute all stream rates (Eq. 2 allocation).", metrics.UnitSeconds),
 		grants:         make(map[fairshare.ID]*metrics.Gauge),
-		servedBytes:    reg.Counter(MetricServedBytes, "Message bytes served to downloaders."),
+		servedBytes:    reg.Counter(MetricServedBytes, "Message bytes queued to downloaders (counted before the write)."),
 		servedRate:     reg.Rate(MetricServedRate, "EWMA upload rate, bytes/second.", metrics.DefaultRateHalfLife),
 		storedBytes:    reg.Counter(MetricStoredBytes, "Message bytes accepted via PUT."),
 		feedback:       reg.Counter(MetricFeedback, "Owner feedback reports folded into the ledger."),

@@ -106,7 +106,8 @@ func TestDisseminateAndFetchSinglePeer(t *testing.T) {
 		t.Error("StoredBytes = 0 after dissemination")
 	}
 
-	got, stats, err := c.FetchGeneration(ctx, []string{node.Addr().String()}, params, 42, testSecret(), nil)
+	got, stats, err := c.Fetch(ctx, client.FetchRequest{
+		Peers: []string{node.Addr().String()}, Params: params, FileID: 42, Secret: testSecret()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,8 @@ func TestParallelFetchBeatsSinglePeerUpload(t *testing.T) {
 		addrs = append(addrs, node.Addr().String())
 	}
 
-	got, stats, err := c.FetchGeneration(ctx, addrs, params, 7, testSecret(), nil)
+	got, stats, err := c.Fetch(ctx, client.FetchRequest{
+		Peers: addrs, Params: params, FileID: 7, Secret: testSecret()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,8 @@ func TestFetchUnknownFile(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	params := smallParams(t, 4, 16, 64)
-	_, _, err = c.FetchGeneration(ctx, []string{node.Addr().String()}, params, 99, testSecret(), nil)
+	_, _, err = c.Fetch(ctx, client.FetchRequest{
+		Peers: []string{node.Addr().String()}, Params: params, FileID: 99, Secret: testSecret()})
 	if !errors.Is(err, client.ErrIncomplete) {
 		t.Errorf("unknown file fetch error = %v, want ErrIncomplete", err)
 	}
@@ -208,7 +211,8 @@ func TestFetchNoPeers(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := smallParams(t, 4, 16, 64)
-	_, _, err = c.FetchGeneration(context.Background(), nil, params, 1, testSecret(), nil)
+	_, _, err = c.Fetch(context.Background(), client.FetchRequest{
+		Params: params, FileID: 1, Secret: testSecret()})
 	if !errors.Is(err, client.ErrNoPeers) {
 		t.Errorf("error = %v, want ErrNoPeers", err)
 	}
@@ -282,8 +286,9 @@ func TestForgedMessagesRejectedDuringFetch(t *testing.T) {
 
 	// Against the forging peer alone, every message fails its digest:
 	// the decode cannot complete and every arrival is rejected.
-	_, stats, err := c.FetchGeneration(ctx,
-		[]string{evilNode.Addr().String()}, params, 55, testSecret(), digests)
+	_, stats, err := c.Fetch(ctx, client.FetchRequest{
+		Peers: []string{evilNode.Addr().String()}, Params: params, FileID: 55,
+		Secret: testSecret(), Digests: digests})
 	if !errors.Is(err, client.ErrIncomplete) {
 		t.Fatalf("evil-only fetch error = %v, want ErrIncomplete", err)
 	}
@@ -293,9 +298,9 @@ func TestForgedMessagesRejectedDuringFetch(t *testing.T) {
 
 	// With the honest peer in the mix the download completes; the
 	// forgeries never poison the decoder.
-	got, stats, err := c.FetchGeneration(ctx,
-		[]string{evilNode.Addr().String(), honestNode.Addr().String()},
-		params, 55, testSecret(), digests)
+	got, stats, err := c.Fetch(ctx, client.FetchRequest{
+		Peers: []string{evilNode.Addr().String(), honestNode.Addr().String()}, Params: params,
+		FileID: 55, Secret: testSecret(), Digests: digests})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +438,8 @@ func TestStopHaltsStreaming(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	got, stats, err := c.FetchGeneration(ctx, []string{node.Addr().String()}, params, 77, testSecret(), nil)
+	got, stats, err := c.Fetch(ctx, client.FetchRequest{
+		Peers: []string{node.Addr().String()}, Params: params, FileID: 77, Secret: testSecret()})
 	if err != nil {
 		t.Fatal(err)
 	}

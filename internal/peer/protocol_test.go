@@ -5,6 +5,7 @@ package peer_test
 // keep serving others.
 
 import (
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -64,12 +65,33 @@ func TestPeerRejectsGarbageBeforeHandshake(t *testing.T) {
 func TestPeerRejectsMalformedGet(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 202), Store: store.NewMemory()})
 	conn := dialAuthed(t, node, identity(t, 203))
-	if err := wire.WriteFrame(conn, wire.TypeGet, []byte{1, 2, 3}); err != nil {
+	if err := wire.WriteFrame(conn, wire.TypeGetMux, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := wire.ReadFrame(conn)
 	if err == nil && f.Type != wire.TypeError {
-		t.Errorf("malformed GET answered with %s", f.Type)
+		t.Errorf("malformed GET_MUX answered with %s", f.Type)
+	}
+}
+
+// TestPeerRefusesPlainGet: downloads are GET_MUX streams only. A
+// well-formed plain GET for a stored file is refused with a typed
+// error frame, never served.
+func TestPeerRefusesPlainGet(t *testing.T) {
+	st := store.NewMemory()
+	if err := st.Put(&rlnc.Message{FileID: 9, MessageID: 1, Payload: []byte{1}}); err != nil {
+		t.Fatal(err)
+	}
+	node := startPeer(t, peer.Config{Identity: identity(t, 210), Store: st})
+	conn := dialAuthed(t, node, identity(t, 211))
+	get := wire.Get{FileID: 9}
+	if err := wire.WriteFrame(conn, wire.TypeGet, get.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	_, err := wire.Expect(conn, wire.TypeData)
+	var remote *wire.RemoteError
+	if !errors.As(err, &remote) || remote.Code != wire.CodeBadRequest {
+		t.Fatalf("plain GET answered with %v, want a bad-request RemoteError", err)
 	}
 }
 

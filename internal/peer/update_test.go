@@ -71,7 +71,8 @@ func TestPatchThenFetchNewVersion(t *testing.T) {
 		addrs = append(addrs, node.Addr().String())
 	}
 
-	got, stats, err := c.FetchGeneration(ctx, addrs, params, 88, testSecret(), newDigests)
+	got, stats, err := c.Fetch(ctx, client.FetchRequest{
+		Peers: addrs, Params: params, FileID: 88, Secret: testSecret(), Digests: newDigests})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,8 @@ func TestPatchRejectedFromNonOwner(t *testing.T) {
 	}
 	// The stored data is untouched: the owner still fetches the
 	// original bytes.
-	got, _, err := owner.FetchGeneration(ctx, []string{node.Addr().String()}, params, 77, testSecret(), nil)
+	got, _, err := owner.Fetch(ctx, client.FetchRequest{
+		Peers: []string{node.Addr().String()}, Params: params, FileID: 77, Secret: testSecret()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestPipelineMatchesSequentialDecoder(t *testing.T) {
 // TestPipelineConcurrentProducers races N producers feeding interleaved
 // innovative, redundant, duplicate and corrupt messages and checks the
 // Stats invariants hold: every message lands in exactly one bucket and
-// Accepted reaches exactly k. Run under -race via `make race-codec`.
+// Accepted reaches exactly k. Run under -race via `make race`.
 func TestPipelineConcurrentProducers(t *testing.T) {
 	const producers = 8
 	k := 32

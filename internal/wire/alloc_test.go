@@ -4,7 +4,7 @@ package wire
 // evidence that the wire hot path — frame read, frame write, and the
 // full muxed DATA receive path into the decode pipeline — performs
 // zero heap allocations per frame in steady state. These are the
-// regression gates behind `make race-wire`; any change that
+// regression gates `make test` runs; any change that
 // reintroduces a per-frame allocation fails here, not in a profile
 // three PRs later.
 

@@ -24,7 +24,7 @@ const (
 	TypeAuthOK                          // authentication accepted
 	TypePut                             // upload one encoded message for storage
 	TypePutOK                           // storage acknowledged
-	TypeGet                             // request streaming of a file's messages
+	TypeGet                             // one-stream download request; peers refuse it (GET_MUX replaced it)
 	TypeData                            // one encoded message
 	TypeStop                            // stop transmission (paper's message "5")
 	TypeFeedback                        // informational update to the user's own peer
@@ -499,8 +499,8 @@ func (e *StreamError) Error() string {
 // Busy is a typed load-shed refusal. Unlike ErrorMsg it is NOT
 // terminal for the connection: the peer refused (or preempted) one
 // piece of work and the requester should retry after at least
-// RetryAfterMillis. FileID scopes the shed to one multiplexed stream;
-// 0 means the whole request (legacy GET path). Code is CodeBusy for
+// RetryAfterMillis. FileID scopes the shed to one multiplexed stream.
+// Code is CodeBusy for
 // admission refusals and preemptions, CodeExpired when the request's
 // own deadline passed before service.
 type Busy struct {
