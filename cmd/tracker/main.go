@@ -51,12 +51,15 @@ func run(args []string, out io.Writer, ready chan<- string) error {
 	if err := srv.Start(*listen); err != nil {
 		return err
 	}
+	// Catch signals before announcing readiness, so a signal sent as
+	// soon as the address is known shuts down cleanly instead of
+	// killing the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	fmt.Fprintf(out, "tracker listening on %s (max ttl %v)\n", srv.Addr(), *ttl)
 	if ready != nil {
 		ready <- srv.Addr().String()
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	<-ctx.Done()
 	fmt.Fprintln(out, "shutting down")
 	return srv.Close()

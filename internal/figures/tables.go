@@ -7,6 +7,7 @@ package figures
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"asymshare/internal/gf"
@@ -70,6 +71,11 @@ type Table2Options struct {
 	Seed int64
 }
 
+// table2Repeat is the number of decodes timed per Table II cell, of
+// which the fastest is reported, so that a preemption during one decode
+// does not decide a cell.
+const table2Repeat = 3
+
 // Table2 measures decode time across the (q, m) grid: for each cell it
 // encodes DataBytes of random data into k messages and times the
 // incremental Gaussian decode, exactly the computation a user performs
@@ -88,7 +94,7 @@ func Table2(opts Table2Options) (*Table, error) {
 
 	t := &Table{
 		ID:       "table2",
-		Title:    fmt.Sprintf("decode time (s) for %d bytes", dataBytes),
+		Title:    fmt.Sprintf("decode time (s) for %d bytes, best of %d", dataBytes, table2Repeat),
 		RowLabel: "q",
 		ColLabel: "m",
 		Format:   "%.4f",
@@ -103,11 +109,15 @@ func Table2(opts Table2Options) (*Table, error) {
 	for i, bits := range TableFieldBits {
 		t.Cells[i] = make([]float64, len(TableMessageLens))
 		for j, m := range TableMessageLens {
-			secs, err := MeasureDecode(gf.MustNew(bits), m, data, secret)
-			if err != nil {
-				return nil, fmt.Errorf("cell GF(2^%d) m=%d: %w", bits, m, err)
+			for r := 0; r < table2Repeat; r++ {
+				secs, err := MeasureDecode(gf.MustNew(bits), m, data, secret)
+				if err != nil {
+					return nil, fmt.Errorf("cell GF(2^%d) m=%d: %w", bits, m, err)
+				}
+				if r == 0 || secs < t.Cells[i][j] {
+					t.Cells[i][j] = secs
+				}
 			}
-			t.Cells[i][j] = secs
 		}
 	}
 	return t, nil
@@ -133,6 +143,9 @@ func MeasureDecode(field gf.Field, m int, data, secret []byte) (float64, error) 
 	if err != nil {
 		return 0, err
 	}
+	// Collect the encoder's garbage first, so a collection it triggers
+	// is not charged to the decode.
+	runtime.GC()
 	start := time.Now()
 	for _, msg := range msgs {
 		if dec.Done() {

@@ -9,6 +9,11 @@ package gf
 //
 // The exp table is doubled so products exp[log a + log b] need no modular
 // reduction.
+//
+// For p <= 8 the field also keeps, per constant c, the 8x8 GF(2) matrix
+// of the byte map b -> c*b (packed nibble pairs for p=4): multiplying by
+// a constant is GF(2)-linear, so that matrix is all the GFNI kernel
+// needs (kernel.go).
 
 import "fmt"
 
@@ -18,6 +23,7 @@ type tableField struct {
 	q    uint32
 	exp  []uint32
 	log  []uint32
+	mats []uint64 // p <= 8: mats[c] is the affine matrix of b -> c*b
 }
 
 var _ Field = (*tableField)(nil)
@@ -58,6 +64,12 @@ func newTableField(bits uint, poly uint64) (*tableField, error) {
 		return nil, fmt.Errorf("gf: polynomial %#x does not cycle back to 1 in GF(2^%d)", poly, bits)
 	}
 	copy(f.exp[q-1:], f.exp[:q-1])
+	if bits <= Bits8 {
+		f.mats = make([]uint64, q)
+		for c := range f.mats {
+			f.mats[c] = f.affineMatrix(uint32(c))
+		}
+	}
 	return f, nil
 }
 
@@ -107,7 +119,13 @@ func (f *tableField) Exp(a uint32, n uint64) uint32 {
 	return f.exp[e]
 }
 
+// AddScaledSlice and ScaleSlice run the region kernels of kernel.go for
+// p=4 and p=8; p=16 keeps its per-symbol log/antilog loop.
 func (f *tableField) AddScaledSlice(dst, src []byte, c uint32) {
+	if f.bits != Bits16 {
+		MulAddSlice(f, dst, src, c)
+		return
+	}
 	c &= f.mask
 	if len(dst) != len(src) {
 		panic("gf: AddScaledSlice length mismatch")
@@ -119,19 +137,14 @@ func (f *tableField) AddScaledSlice(dst, src []byte, c uint32) {
 		AddSlice(dst, src)
 		return
 	}
-	switch f.bits {
-	case Bits4:
-		f.addScaled4(dst, src, c)
-	case Bits8:
-		MulAddSlice(f, dst, src, c) // the nibble-split kernel, SIMD where available
-	case Bits16:
-		f.addScaled16(dst, src, c)
-	default:
-		panic("gf: unreachable table width")
-	}
+	f.addScaled16(dst, src, c)
 }
 
 func (f *tableField) ScaleSlice(dst []byte, c uint32) {
+	if f.bits != Bits16 {
+		MulSlice(f, dst, c)
+		return
+	}
 	c &= f.mask
 	if c == 1 {
 		return
@@ -140,53 +153,15 @@ func (f *tableField) ScaleSlice(dst []byte, c uint32) {
 		clear(dst)
 		return
 	}
-	switch f.bits {
-	case Bits4:
-		row := f.packedNibbleTable(c)
-		for i, b := range dst {
-			dst[i] = row[b]
-		}
-	case Bits8:
-		lc := f.log[c]
-		for i, b := range dst {
-			if b != 0 {
-				dst[i] = byte(f.exp[lc+f.log[b]])
-			}
-		}
-	case Bits16:
-		lc := f.log[c]
-		for i := 0; i+1 < len(dst); i += 2 {
-			s := uint32(dst[i]) | uint32(dst[i+1])<<8
-			if s == 0 {
-				continue
-			}
-			p := f.exp[lc+f.log[s]]
-			dst[i] = byte(p)
-			dst[i+1] = byte(p >> 8)
-		}
-	}
-}
-
-// packedNibbleTable returns a 256-entry table mapping a packed byte
-// (two GF(16) symbols) to the packed byte of both symbols multiplied
-// by c.
-func (f *tableField) packedNibbleTable(c uint32) [256]byte {
-	var nib [16]byte
 	lc := f.log[c]
-	for s := uint32(1); s < 16; s++ {
-		nib[s] = byte(f.exp[lc+f.log[s]])
-	}
-	var row [256]byte
-	for b := 0; b < 256; b++ {
-		row[b] = nib[b&0xF] | nib[b>>4]<<4
-	}
-	return row
-}
-
-func (f *tableField) addScaled4(dst, src []byte, c uint32) {
-	row := f.packedNibbleTable(c)
-	for i, b := range src {
-		dst[i] ^= row[b]
+	for i := 0; i+1 < len(dst); i += 2 {
+		s := uint32(dst[i]) | uint32(dst[i+1])<<8
+		if s == 0 {
+			continue
+		}
+		p := f.exp[lc+f.log[s]]
+		dst[i] = byte(p)
+		dst[i+1] = byte(p >> 8)
 	}
 }
 

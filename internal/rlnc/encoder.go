@@ -8,6 +8,7 @@ package rlnc
 
 import (
 	"fmt"
+	"sync"
 
 	"asymshare/internal/gf"
 )
@@ -18,7 +19,8 @@ type Encoder struct {
 	params Params
 	fileID uint64
 	gen    *CoeffGenerator
-	chunks [][]byte // k packed chunks, zero-padded to ChunkBytes
+	chunks [][]byte  // k packed chunks, zero-padded to ChunkBytes
+	tabs   sync.Pool // *[]gf.MulTable of length k, Message's product tables
 }
 
 // NewEncoder splits data into k chunks per params and prepares the
@@ -47,7 +49,12 @@ func NewEncoder(params Params, fileID uint64, secret, data []byte) (*Encoder, er
 		}
 		chunks[j] = chunk
 	}
-	return &Encoder{params: params, fileID: fileID, gen: gen, chunks: chunks}, nil
+	e := &Encoder{params: params, fileID: fileID, gen: gen, chunks: chunks}
+	e.tabs.New = func() any {
+		tabs := make([]gf.MulTable, params.K)
+		return &tabs
+	}
+	return e, nil
 }
 
 // Params returns the coding parameters.
@@ -57,16 +64,17 @@ func (e *Encoder) Params() Params { return e.params }
 func (e *Encoder) FileID() uint64 { return e.fileID }
 
 // Message deterministically produces the encoded message with the given
-// message-id.
+// message-id, folding all k chunks into the payload in one fused
+// kernel pass. It is safe for concurrent use.
 func (e *Encoder) Message(messageID uint64) *Message {
-	f := e.params.Field
 	row := e.gen.Row(e.fileID, messageID)
 	payload := make([]byte, e.params.ChunkBytes())
+	tabs := e.tabs.Get().(*[]gf.MulTable)
 	for j, c := range row {
-		if c != 0 {
-			f.AddScaledSlice(payload, e.chunks[j], c)
-		}
+		(*tabs)[j].Init(e.params.Field, c)
 	}
+	gf.AccumSlices(payload, e.chunks, *tabs, nil)
+	e.tabs.Put(tabs)
 	return &Message{FileID: e.fileID, MessageID: messageID, Payload: payload}
 }
 

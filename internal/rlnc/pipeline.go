@@ -16,8 +16,9 @@ package rlnc
 //  3. eliminate — the recorded row operations replayed over the
 //                payload (ChunkBytes() per row, the real cost): handed
 //                to a serial job runner that fans each job's payload
-//                out to a worker pool in cache-sized segments, using
-//                per-factor split product tables (gf.MulTable).
+//                out to a worker pool in cache-sized segments, each
+//                segment folded in one gf.AccumSlices call over
+//                per-factor product tables (gf.MulTable).
 //
 // Every buffer on the steady-state path — verifier scratch, coefficient
 // rows, payload arena slots, job and step storage, product tables — is
@@ -410,17 +411,18 @@ func (p *Pipeline) countEarly(bump func(*Stats)) {
 // takes the first segment itself.
 func (p *Pipeline) runner() {
 	defer p.bgWG.Done()
+	srcs := make([][]byte, 0, p.params.K)
 	for {
 		select {
 		case job := <-p.jobs:
-			p.runJob(job)
+			p.runJob(job, srcs)
 		case <-p.quit:
 			return
 		}
 	}
 }
 
-func (p *Pipeline) runJob(job *pipeJob) {
+func (p *Pipeline) runJob(job *pipeJob, srcs [][]byte) {
 	f := p.params.Field
 	n := len(job.steps)
 	for s := 0; s < n; s++ {
@@ -438,7 +440,7 @@ func (p *Pipeline) runJob(job *pipeJob) {
 	}
 	if segs <= 1 {
 		p.busy.Add(1)
-		p.applySeg(job, 0, p.cb, scale)
+		p.applySeg(job, 0, p.cb, scale, srcs)
 		p.busy.Add(-1)
 	} else {
 		per := (p.cb / segs) &^ 7
@@ -453,7 +455,7 @@ func (p *Pipeline) runJob(job *pipeJob) {
 			lo = hi
 		}
 		p.busy.Add(1)
-		p.applySeg(job, 0, per, scale)
+		p.applySeg(job, 0, per, scale, srcs)
 		p.busy.Add(-1)
 		job.wg.Wait()
 	}
@@ -465,11 +467,12 @@ func (p *Pipeline) runJob(job *pipeJob) {
 // segWorker eliminates payload segments until Close.
 func (p *Pipeline) segWorker() {
 	defer p.bgWG.Done()
+	srcs := make([][]byte, 0, p.params.K)
 	for {
 		select {
 		case t := <-p.segCh:
 			p.busy.Add(1)
-			p.applySeg(t.job, t.lo, t.hi, t.scale)
+			p.applySeg(t.job, t.lo, t.hi, t.scale, srcs)
 			p.busy.Add(-1)
 			t.job.wg.Done()
 		case <-p.quit:
@@ -479,17 +482,16 @@ func (p *Pipeline) segWorker() {
 }
 
 // applySeg replays a job's recorded row operations over one payload
-// slice. Reads of p.pays entries are ordered by the jobs/segCh channel
-// sends that happen after the rows were committed under p.mu.
-func (p *Pipeline) applySeg(job *pipeJob, lo, hi int, scale *gf.MulTable) {
-	dst := p.pays[job.dst][lo:hi]
-	for s := range job.steps {
-		src := p.pays[job.steps[s].src][lo:hi]
-		p.tabs[s].MulAdd(dst, src)
+// slice in one fused kernel call; srcs is the calling goroutine's own
+// buffer for the source slices (capacity K, the most steps a job has).
+// Reads of p.pays entries are ordered by the jobs/segCh channel sends
+// that happen after the rows were committed under p.mu.
+func (p *Pipeline) applySeg(job *pipeJob, lo, hi int, scale *gf.MulTable, srcs [][]byte) {
+	srcs = srcs[:0]
+	for _, st := range job.steps {
+		srcs = append(srcs, p.pays[st.src][lo:hi])
 	}
-	if scale != nil {
-		scale.Mul(dst)
-	}
+	gf.AccumSlices(p.pays[job.dst][lo:hi], srcs, p.tabs[:len(srcs)], scale)
 	p.segsDone.Add(1)
 	p.elimBytes.Add(uint64((hi - lo) * (len(job.steps) + 1)))
 }

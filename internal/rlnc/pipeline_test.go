@@ -288,36 +288,39 @@ func TestPipelineErrors(t *testing.T) {
 // TestPipelineSteadyStateAllocs is the acceptance-criteria benchmark
 // assertion: once warmed up, a full feed-decode-reset cycle performs
 // zero heap allocations per accepted message (same pattern as
-// internal/metrics' TestHotPathAllocFree).
+// internal/metrics' TestHotPathAllocFree), on the p=8 kernels and the
+// p=16 byte-split kernel alike.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
 	k := 16
-	enc, digests, _ := pipelineGen(t, gf.Bits8, k, 512, 13)
-	pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests,
-		PipelineConfig{Workers: 1, Verifiers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipe.Close()
-
-	msgs := make([]*Message, 0, 2*k)
-	for id := uint64(0); id < uint64(2*k); id++ {
-		msgs = append(msgs, enc.Message(id))
-	}
-	out := make([]byte, enc.Params().DataLen)
-	cycle := func() {
-		for _, msg := range msgs {
-			if _, err := pipe.Add(msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := pipe.DecodeInto(out); err != nil {
+	for _, bits := range []uint{gf.Bits8, gf.Bits16} {
+		enc, digests, _ := pipelineGen(t, bits, k, 512, 13)
+		pipe, err := NewPipeline(enc.Params(), enc.FileID(), testSecret(), digests,
+			PipelineConfig{Workers: 1, Verifiers: 2})
+		if err != nil {
 			t.Fatal(err)
 		}
-		pipe.Reset()
-	}
-	cycle() // warm up lazy hash state and map buckets
-	if n := testing.AllocsPerRun(10, cycle); n != 0 {
-		t.Fatalf("steady-state decode allocates %v times per cycle, want 0", n)
+		defer pipe.Close()
+
+		msgs := make([]*Message, 0, 2*k)
+		for id := uint64(0); id < uint64(2*k); id++ {
+			msgs = append(msgs, enc.Message(id))
+		}
+		out := make([]byte, enc.Params().DataLen)
+		cycle := func() {
+			for _, msg := range msgs {
+				if _, err := pipe.Add(msg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := pipe.DecodeInto(out); err != nil {
+				t.Fatal(err)
+			}
+			pipe.Reset()
+		}
+		cycle() // warm up lazy hash state and map buckets
+		if n := testing.AllocsPerRun(10, cycle); n != 0 {
+			t.Fatalf("GF(2^%d): steady-state decode allocates %v times per cycle, want 0", bits, n)
+		}
 	}
 }
 
