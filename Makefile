@@ -25,7 +25,7 @@ race: vet
 # order, so an order- or timing-dependent test fails in CI instead of
 # now and then.
 flaky-check:
-	$(GO) test -count=3 -shuffle=on ./internal/netsim/harness/ ./internal/peer/ ./internal/client/
+	$(GO) test -count=3 -shuffle=on ./internal/netsim/harness/ ./internal/peer/ ./internal/client/ ./internal/tracker/ ./internal/dht/ ./internal/gossip/
 
 # race-store exercises the durability layer under the race detector,
 # twice: the fsx filesystem seam and fault injector, the journaled

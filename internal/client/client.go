@@ -15,7 +15,6 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -158,37 +157,76 @@ func NewWith(id *auth.Identity, trusted *auth.TrustSet, opts Options) (*Client, 
 // Fingerprint returns the client's key fingerprint.
 func (c *Client) Fingerprint() string { return c.id.Fingerprint() }
 
-// dial connects and completes the mutual handshake. DialTimeout bounds
-// the dial AND the handshake: a listener that accepts but never speaks
-// (SYN-accepted, application dead) would otherwise hang the zero-value
-// dialer forever.
-func (c *Client) dial(ctx context.Context, addr string, role wire.Role) (net.Conn, ed25519.PublicKey, error) {
+// dial connects and completes the mutual handshake on the connection's
+// one reader and writer. DialTimeout bounds the dial AND the handshake:
+// a listener that accepts but never speaks (SYN-accepted, application
+// dead) would otherwise hang the zero-value dialer forever.
+func (c *Client) dial(ctx context.Context, addr string) (*wire.Conn, ed25519.PublicKey, error) {
 	if c.opt.DialTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opt.DialTimeout)
 		defer cancel()
 	}
-	conn, err := c.opt.Transport.DialContext(ctx, addr)
+	nc, err := c.opt.Transport.DialContext(ctx, addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	}
-	peerKey, err := wire.InitiatorHandshake(conn, c.id, role, c.trusted)
+	conn := wire.NewConn(nc)
+	peerKey, err := wire.InitiatorHandshake(ctx, conn, c.id, wire.RoleUser, c.trusted)
 	if err != nil {
 		conn.Close()
 		return nil, nil, fmt.Errorf("client: handshake with %s: %w", addr, err)
 	}
-	_ = conn.SetDeadline(time.Time{})
 	return conn, peerKey, nil
+}
+
+// rpc runs one control exchange with the peer at addr on a fresh
+// authenticated connection: request t, reply want, then BYE. ctx bounds
+// every step (wire.Conn.Call), so a peer that authenticates and then
+// goes silent costs the caller no more than ctx allows. decode, if
+// non-nil, parses the reply payload. rpc returns the peer's key
+// fingerprint, the identity its answer is accounted to.
+func (c *Client) rpc(ctx context.Context, addr, verb string, t wire.Type, payload []byte, want wire.Type, decode func([]byte) error) (string, error) {
+	conn, peerKey, err := c.dial(ctx, addr)
+	if err != nil {
+		return "", err
+	}
+	defer conn.Close()
+	fingerprint := auth.Fingerprint(peerKey)
+	reply, err := conn.Call(ctx, t, payload, want)
+	if err != nil {
+		return fingerprint, fmt.Errorf("client: %s %s: %w", verb, addr, err)
+	}
+	if decode != nil {
+		err = decode(reply.Bytes())
+	}
+	reply.Release()
+	if err != nil {
+		return fingerprint, fmt.Errorf("client: %s %s: %w", verb, addr, err)
+	}
+	_ = conn.Send(wire.TypeBye, nil)
+	return fingerprint, nil
 }
 
 // Disseminate uploads a batch of encoded messages to one peer,
 // confirming each PUT. This is the initialization-phase transfer that
 // runs "when some upload bandwidth is available".
 func (c *Client) Disseminate(ctx context.Context, addr string, msgs []*rlnc.Message) error {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
+	return c.putAll(ctx, addr, "put to", wire.TypePut, msgs)
+}
+
+// Patch sends delta messages to a peer, which applies each one to the
+// matching stored message — the data-modification path of Sec. VI-A.
+// Only the file's owner (the identity that first uploaded it) will be
+// accepted.
+func (c *Client) Patch(ctx context.Context, addr string, deltas []*rlnc.Message) error {
+	return c.putAll(ctx, addr, "patch to", wire.TypePatch, deltas)
+}
+
+// putAll sends each message as one t frame on one connection, waiting
+// for its PUT_OK, then says BYE. ctx bounds every exchange.
+func (c *Client) putAll(ctx context.Context, addr, verb string, t wire.Type, msgs []*rlnc.Message) error {
+	conn, _, err := c.dial(ctx, addr)
 	if err != nil {
 		return err
 	}
@@ -198,95 +236,55 @@ func (c *Client) Disseminate(ctx context.Context, addr string, msgs []*rlnc.Mess
 		if err != nil {
 			return err
 		}
-		if err := wire.WriteFrame(conn, wire.TypePut, buf); err != nil {
-			return err
-		}
-		if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
-			return fmt.Errorf("client: put to %s: %w", addr, err)
-		}
-	}
-	return wire.WriteFrame(conn, wire.TypeBye, nil)
-}
-
-// Patch sends delta messages to a peer, which applies each one to the
-// matching stored message — the data-modification path of Sec. VI-A.
-// Only the file's owner (the identity that first uploaded it) will be
-// accepted.
-func (c *Client) Patch(ctx context.Context, addr string, deltas []*rlnc.Message) error {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	for _, msg := range deltas {
-		buf, err := msg.MarshalBinary()
+		reply, err := conn.Call(ctx, t, buf, wire.TypePutOK)
 		if err != nil {
-			return err
+			return fmt.Errorf("client: %s %s: %w", verb, addr, err)
 		}
-		if err := wire.WriteFrame(conn, wire.TypePatch, buf); err != nil {
-			return err
-		}
-		if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
-			return fmt.Errorf("client: patch to %s: %w", addr, err)
-		}
+		reply.Release()
 	}
-	return wire.WriteFrame(conn, wire.TypeBye, nil)
+	return conn.Send(wire.TypeBye, nil)
 }
 
 // ListFiles asks a peer which generations it stores (identifiers and
 // message counts only — no payloads), letting an owner audit where its
 // data is replicated.
 func (c *Client) ListFiles(ctx context.Context, addr string) ([]wire.FileEntry, error) {
-	conn, _, err := c.dial(ctx, addr, wire.RoleUser)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypeList, nil); err != nil {
-		return nil, err
-	}
-	frame, err := wire.Expect(conn, wire.TypeFileList)
-	if err != nil {
-		return nil, fmt.Errorf("client: list %s: %w", addr, err)
-	}
 	var list wire.FileList
-	if err := list.Unmarshal(frame.Payload); err != nil {
+	if _, err := c.rpc(ctx, addr, "list", wire.TypeList, nil, wire.TypeFileList, list.Unmarshal); err != nil {
 		return nil, err
 	}
-	_ = wire.WriteFrame(conn, wire.TypeBye, nil)
 	return list.Files, nil
 }
 
 // SendFeedback delivers per-peer receipt reports to the user's own
 // peer (Sec. III-B's periodic informational update).
 func (c *Client) SendFeedback(ctx context.Context, ownPeerAddr string, received map[string]uint64) error {
-	conn, _, err := c.dial(ctx, ownPeerAddr, wire.RoleUser)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	fb := wire.Feedback{Entries: make([]wire.FeedbackEntry, 0, len(received))}
-	keys := make([]string, 0, len(received))
-	for k := range received {
+	return c.sendFeedback(ctx, ownPeerAddr, "feedback to", received, func(n uint64) wire.FeedbackEntry {
+		return wire.FeedbackEntry{Bytes: n}
+	})
+}
+
+// sendFeedback sends one FEEDBACK frame with an entry per peer
+// fingerprint, in fingerprint order, and waits for the acknowledgement
+// so the report is durable before the connection closes.
+func (c *Client) sendFeedback(ctx context.Context, ownPeerAddr, verb string, byPeer map[string]uint64, entry func(uint64) wire.FeedbackEntry) error {
+	keys := make([]string, 0, len(byPeer))
+	for k := range byPeer {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	fb := wire.Feedback{Entries: make([]wire.FeedbackEntry, 0, len(keys))}
 	for _, k := range keys {
-		fb.Entries = append(fb.Entries, wire.FeedbackEntry{PeerFingerprint: k, Bytes: received[k]})
+		e := entry(byPeer[k])
+		e.PeerFingerprint = k
+		fb.Entries = append(fb.Entries, e)
 	}
 	blob, err := fb.Marshal()
 	if err != nil {
 		return err
 	}
-	if err := wire.WriteFrame(conn, wire.TypeFeedback, blob); err != nil {
-		return err
-	}
-	// Wait for the acknowledgement so the credits are durable before we
-	// disconnect.
-	if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
-		return fmt.Errorf("client: feedback to %s: %w", ownPeerAddr, err)
-	}
-	return wire.WriteFrame(conn, wire.TypeBye, nil)
+	_, err = c.rpc(ctx, ownPeerAddr, verb, wire.TypeFeedback, blob, wire.TypePutOK, nil)
+	return err
 }
 
 // FetchStats describes one parallel download.

@@ -9,7 +9,7 @@ package client
 // per-call set of sessions and where an aborted one is redialed.
 //
 // Buffer ownership (DESIGN.md §13): the demux loop owns each frame
-// buffer from FrameReader.Next until it hands it to a stream's frame
+// buffer from wire.Conn.Next until it hands it to a stream's frame
 // channel, where ownership transfers to the stream's FetchStream loop,
 // which releases it after feeding the decoder. Frames for unknown or
 // dead streams are released on the spot, so a cancelled stream can
@@ -69,9 +69,8 @@ func (st *sessStream) fail(err error) {
 type PeerSession struct {
 	c           *Client
 	addr        string
-	conn        net.Conn
+	conn        *wire.Conn // written by concurrent streams under its write lock
 	fingerprint string
-	cw          *sessionWriter
 
 	mu      sync.Mutex
 	streams map[uint64]*sessStream
@@ -81,24 +80,11 @@ type PeerSession struct {
 	closeOnce sync.Once
 }
 
-// sessionWriter serializes control writes from concurrent streams over
-// one batched FrameWriter.
-type sessionWriter struct {
-	mu sync.Mutex
-	fw *wire.FrameWriter
-}
-
-func (sw *sessionWriter) writeFrame(t wire.Type, payload []byte) error {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.fw.WriteFrame(t, payload)
-}
-
 // NewPeerSession dials addr, completes the mutual handshake and starts
 // the demux loop. The context bounds only the dial; the session then
 // lives until Close or a connection failure.
 func (c *Client) NewPeerSession(ctx context.Context, addr string) (*PeerSession, error) {
-	conn, peerKey, err := c.dial(ctx, addr, wire.RoleUser)
+	conn, peerKey, err := c.dial(ctx, addr)
 	if err != nil {
 		return nil, err
 	}
@@ -107,7 +93,6 @@ func (c *Client) NewPeerSession(ctx context.Context, addr string) (*PeerSession,
 		addr:        addr,
 		conn:        conn,
 		fingerprint: auth.Fingerprint(peerKey),
-		cw:          &sessionWriter{fw: wire.NewFrameWriter(conn)},
 		streams:     make(map[uint64]*sessStream),
 		closed:      make(chan struct{}),
 	}
@@ -125,7 +110,7 @@ func (s *PeerSession) Addr() string { return s.addr }
 // wait for the demux loop (which fails any remaining streams).
 func (s *PeerSession) Close() error {
 	s.closeOnce.Do(func() {
-		_ = s.cw.writeFrame(wire.TypeBye, nil)
+		_ = s.conn.Send(wire.TypeBye, nil)
 		s.conn.Close()
 	})
 	<-s.closed
@@ -207,9 +192,8 @@ func (s *PeerSession) failAll(err error) {
 // every open stream with a retriable classification.
 func (s *PeerSession) demux() {
 	defer close(s.closed)
-	fr := wire.NewFrameReader(s.conn)
 	for {
-		t, b, err := fr.Next()
+		t, b, err := s.conn.Next()
 		if err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				err = fmt.Errorf("%w (%s): %v", errPeerAborted, s.addr, err)
@@ -306,7 +290,7 @@ func (s *PeerSession) demux() {
 // stop asks the peer to cancel one stream (best-effort).
 func (s *PeerSession) stop(fileID uint64) {
 	stopMsg := wire.Stop{FileID: fileID}
-	_ = s.cw.writeFrame(wire.TypeStop, stopMsg.Marshal())
+	_ = s.conn.Send(wire.TypeStop, stopMsg.Marshal())
 }
 
 // StreamRequest names one muxed stream's inputs beyond the defaults:
@@ -339,7 +323,7 @@ func (s *PeerSession) FetchStream(ctx context.Context, req StreamRequest, sink r
 	}
 	defer s.unregister(st)
 	get := wire.Get{FileID: fileID, DeadlineMillis: deadlineMillis(ctx), Priority: req.Priority}
-	if err := s.cw.writeFrame(wire.TypeGetMux, get.Marshal()); err != nil {
+	if err := s.conn.Send(wire.TypeGetMux, get.Marshal()); err != nil {
 		return err
 	}
 	for {

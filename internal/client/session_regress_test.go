@@ -21,7 +21,7 @@ import (
 // pipeSession builds a PeerSession over an in-memory pipe, skipping
 // dial and handshake, and starts its demux loop. The returned conn is
 // the fake peer's end.
-func pipeSession(t *testing.T) (*PeerSession, net.Conn) {
+func pipeSession(t *testing.T) (*PeerSession, *wire.Conn) {
 	t.Helper()
 	cli, srv := net.Pipe()
 	c := &Client{opt: Options{}.withDefaults()}
@@ -29,25 +29,33 @@ func pipeSession(t *testing.T) (*PeerSession, net.Conn) {
 	s := &PeerSession{
 		c:           c,
 		addr:        "pipe",
-		conn:        cli,
+		conn:        wire.NewConn(cli),
 		fingerprint: "pipe-peer",
-		cw:          &sessionWriter{fw: wire.NewFrameWriter(cli)},
 		streams:     make(map[uint64]*sessStream),
 		closed:      make(chan struct{}),
 	}
 	go s.demux()
+	peer := wire.NewConn(srv)
 	t.Cleanup(func() {
-		srv.Close()
+		peer.Close()
 		s.Close()
 	})
-	return s, srv
+	return s, peer
 }
 
-func writeStreamError(t *testing.T, w net.Conn, fileID uint64, code uint16) {
+func writeStreamError(t *testing.T, peer *wire.Conn, fileID uint64, code uint16) {
 	t.Helper()
 	se := wire.StreamError{FileID: fileID, Code: code, Reason: "test"}
-	if err := wire.WriteFrame(w, wire.TypeStreamError, se.Marshal()); err != nil {
+	if err := peer.Send(wire.TypeStreamError, se.Marshal()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func sendBusy(t *testing.T, peer *wire.Conn, fileID uint64, code uint16, retryAfterMillis uint32, reason string) {
+	t.Helper()
+	b := wire.Busy{FileID: fileID, Code: code, RetryAfterMillis: retryAfterMillis, Reason: reason}
+	if err := peer.Send(wire.TypeBusy, b.Marshal()); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -69,7 +77,7 @@ func TestSessionDuplicateStreamErrorNoPanicNoLeak(t *testing.T) {
 	// in st.frames until unregister drains it.
 	payload := make([]byte, rlnc.MessageHeaderBytes)
 	binary.BigEndian.PutUint64(payload, fileID)
-	if err := wire.WriteFrame(srv, wire.TypeData, payload); err != nil {
+	if err := srv.Send(wire.TypeData, payload); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,13 +86,11 @@ func TestSessionDuplicateStreamErrorNoPanicNoLeak(t *testing.T) {
 	// DATA frame for it must all be absorbed without panic or leak.
 	writeStreamError(t, srv, fileID, wire.CodeUnknownFile)
 	writeStreamError(t, srv, fileID, wire.CodeUnknownFile)
-	if err := wire.SendBusy(srv, fileID, wire.CodeBusy, 250, "late shed"); err != nil {
-		t.Fatal(err)
-	}
+	sendBusy(t, srv, fileID, wire.CodeBusy, 250, "late shed")
 	writeStreamError(t, srv, 99, wire.CodeInternal)
 	unknown := make([]byte, rlnc.MessageHeaderBytes)
 	binary.BigEndian.PutUint64(unknown, 99)
-	if err := wire.WriteFrame(srv, wire.TypeData, unknown); err != nil {
+	if err := srv.Send(wire.TypeData, unknown); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,6 +120,7 @@ func TestSessionDuplicateStreamErrorNoPanicNoLeak(t *testing.T) {
 		t.Fatal("demux loop did not exit on peer close")
 	}
 	s.unregister(st)
+	s.Close() // gives the session's connection window back
 
 	if live := wire.DefaultPool.Live(); live != before {
 		t.Fatalf("pooled buffers leaked: live %d -> %d", before, live)
@@ -132,9 +139,7 @@ func TestSessionBusyFailsOnlyItsStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := wire.SendBusy(srv, 1, wire.CodeBusy, 250, "at stream capacity"); err != nil {
-		t.Fatal(err)
-	}
+	sendBusy(t, srv, 1, wire.CodeBusy, 250, "at stream capacity")
 	select {
 	case <-shed.done:
 	case <-time.After(5 * time.Second):
@@ -163,39 +168,37 @@ func TestStreamEndClassification(t *testing.T) {
 	const fileID = 5
 	cases := []struct {
 		name       string
-		answer     func(t *testing.T, srv net.Conn)
+		answer     func(t *testing.T, srv *wire.Conn)
 		want       streamEnd
 		retryAfter time.Duration
 	}{
-		{"orderly STOP", func(t *testing.T, srv net.Conn) {
+		{"orderly STOP", func(t *testing.T, srv *wire.Conn) {
 			stop := wire.Stop{FileID: fileID}
-			if err := wire.WriteFrame(srv, wire.TypeStop, stop.Marshal()); err != nil {
+			if err := srv.Send(wire.TypeStop, stop.Marshal()); err != nil {
 				t.Error(err)
 			}
 		}, endOrderly, 0},
-		{"abort", func(t *testing.T, srv net.Conn) { srv.Close() }, endRetry, 0},
-		{"remote error", func(t *testing.T, srv net.Conn) {
+		{"abort", func(t *testing.T, srv *wire.Conn) { srv.Close() }, endRetry, 0},
+		{"remote error", func(t *testing.T, srv *wire.Conn) {
 			writeStreamError(t, srv, fileID, wire.CodeUnknownFile)
 		}, endTerminal, 0},
-		{"busy", func(t *testing.T, srv net.Conn) {
-			if err := wire.SendBusy(srv, fileID, wire.CodeBusy, 750, "at stream capacity"); err != nil {
-				t.Error(err)
-			}
+		{"busy", func(t *testing.T, srv *wire.Conn) {
+			sendBusy(t, srv, fileID, wire.CodeBusy, 750, "at stream capacity")
 		}, endShed, 750 * time.Millisecond},
-		{"expired", func(t *testing.T, srv net.Conn) {
-			if err := wire.SendBusy(srv, fileID, wire.CodeExpired, 0, "deadline passed"); err != nil {
-				t.Error(err)
-			}
+		{"expired", func(t *testing.T, srv *wire.Conn) {
+			sendBusy(t, srv, fileID, wire.CodeExpired, 0, "deadline passed")
 		}, endTerminal, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, srv := pipeSession(t)
 			go func() {
-				if f, err := wire.ReadFrame(srv); err != nil || f.Type != wire.TypeGetMux {
-					t.Errorf("fake peer read %v, %v; want GET_MUX", f, err)
+				b, err := srv.Expect(wire.TypeGetMux)
+				if err != nil {
+					t.Errorf("fake peer read %v; want GET_MUX", err)
 					return
 				}
+				b.Release()
 				tc.answer(t, srv)
 			}()
 			params, err := rlnc.NewParams(gf.MustNew(gf.Bits8), 4, 16, 64)

@@ -328,15 +328,17 @@ func (n *Node) Close() error {
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
 	for {
-		conn, err := n.ln.Accept()
+		nc, err := transport.Accept(n.ln, n.ctx.Done(), nil)
 		if err != nil {
 			return
 		}
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
+			// One RPC per connection, bounded by RPCTimeout.
+			_ = nc.SetDeadline(time.Now().Add(n.rpcTimeout))
+			conn := wire.NewConn(nc)
 			defer conn.Close()
-			_ = conn.SetDeadline(n.now().Add(n.rpcTimeout))
 			n.handle(conn)
 		}()
 	}
@@ -384,21 +386,23 @@ func (n *Node) observeSender(h rpcHeader) {
 	}
 }
 
-func (n *Node) handle(conn net.Conn) {
-	frame, err := wire.ReadFrame(conn)
+func (n *Node) handle(conn *wire.Conn) {
+	t, b, err := conn.Next()
 	if err != nil {
 		return
 	}
-	switch frame.Type {
+	payload := b.Bytes()
+	defer b.Release()
+	switch t {
 	case typePing:
 		var req findNodeReq // header only
-		if json.Unmarshal(frame.Payload, &req) == nil {
+		if json.Unmarshal(payload, &req) == nil {
 			n.observeSender(req.rpcHeader)
 		}
-		_ = wire.WriteFrame(conn, typePong, nil)
+		_ = conn.Send(typePong, nil)
 	case typeFindNode:
 		var req findNodeReq
-		if err := json.Unmarshal(frame.Payload, &req); err != nil {
+		if err := json.Unmarshal(payload, &req); err != nil {
 			return
 		}
 		n.observeSender(req.rpcHeader)
@@ -409,7 +413,7 @@ func (n *Node) handle(conn net.Conn) {
 		n.reply(conn, typeNodes, nodesResp{Contacts: wireContacts(n.table.closest(target, K))})
 	case typeStore:
 		var req storeReq
-		if err := json.Unmarshal(frame.Payload, &req); err != nil {
+		if err := json.Unmarshal(payload, &req); err != nil {
 			return
 		}
 		n.observeSender(req.rpcHeader)
@@ -418,10 +422,10 @@ func (n *Node) handle(conn net.Conn) {
 			return
 		}
 		n.storeLocal(key, req.Value, req.TTLSec)
-		_ = wire.WriteFrame(conn, typeStored, nil)
+		_ = conn.Send(typeStored, nil)
 	case typeFindValue:
 		var req findValueReq
-		if err := json.Unmarshal(frame.Payload, &req); err != nil {
+		if err := json.Unmarshal(payload, &req); err != nil {
 			return
 		}
 		n.observeSender(req.rpcHeader)
@@ -437,12 +441,12 @@ func (n *Node) handle(conn net.Conn) {
 	}
 }
 
-func (n *Node) reply(conn net.Conn, t wire.Type, v any) {
+func (n *Node) reply(conn *wire.Conn, t wire.Type, v any) {
 	blob, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	_ = wire.WriteFrame(conn, t, blob)
+	_ = conn.Send(t, blob)
 }
 
 func wireContacts(cs []parsedContact) []Contact {

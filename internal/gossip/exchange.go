@@ -20,8 +20,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
-	"time"
 
 	"asymshare/internal/rlnc"
 	"asymshare/internal/wire"
@@ -53,42 +51,22 @@ type pullMsg struct {
 	Want []uint64 `json:"want,omitempty"`
 }
 
-func writeJSON(fw *wire.FrameWriter, t wire.Type, v any) error {
+func writeJSON(conn *wire.Conn, t wire.Type, v any) error {
 	buf, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	return fw.WriteFrame(t, buf)
+	return conn.Send(t, buf)
 }
 
-func readJSON(fr *wire.FrameReader, want wire.Type, v any) error {
-	b, err := fr.Expect(want)
+func readJSON(conn *wire.Conn, want wire.Type, v any) error {
+	b, err := conn.Expect(want)
 	if err != nil {
 		return err
 	}
 	err = json.Unmarshal(b.Bytes(), v)
 	b.Release()
 	return err
-}
-
-// armConn bounds the connection by min(ctx deadline, ExchangeTimeout)
-// and returns a stop func; until stopped, a watcher closes the conn if
-// ctx is cancelled early, unwedging any blocked read.
-func (e *Engine) armConn(ctx context.Context, conn net.Conn) func() {
-	deadline := time.Now().Add(e.cfg.ExchangeTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	_ = conn.SetDeadline(deadline)
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
 }
 
 // snapshotIDs returns the generation's id list (nil if unknown) plus
@@ -195,7 +173,12 @@ func (e *Engine) absorb(msg *rlnc.Message, fileID uint64, k, payloadLen int) err
 // zero-copy — 16 header bytes into the writer arena, the stored payload
 // handed to the vectored write untouched — and batches of frames share
 // one writev (the writer auto-flushes as the queue grows).
-func (e *Engine) sendData(fw *wire.FrameWriter, fileID uint64, ids []uint64) (int, error) {
+func (e *Engine) sendData(conn *wire.Conn, fileID uint64, ids []uint64) (int, error) {
+	fw, err := conn.LockWriter()
+	if err != nil {
+		return 0, err
+	}
+	defer conn.UnlockWriter()
 	var hdr [rlnc.MessageHeaderBytes]byte
 	sent := 0
 	for _, id := range ids {
@@ -215,10 +198,10 @@ func (e *Engine) sendData(fw *wire.FrameWriter, fileID uint64, ids []uint64) (in
 // readData consumes Data frames until the terminator type arrives,
 // absorbing each message; it returns the count absorbed innovatively
 // plus the terminator's payload (copied out of the pooled frame).
-func (e *Engine) readData(fr *wire.FrameReader, fileID uint64, k, payloadLen int, terminator wire.Type) (int, []byte, error) {
+func (e *Engine) readData(conn *wire.Conn, fileID uint64, k, payloadLen int, terminator wire.Type) (int, []byte, error) {
 	got := 0
 	for {
-		t, b, err := fr.Next()
+		t, b, err := conn.Next()
 		if err != nil {
 			return got, nil, err
 		}
@@ -264,40 +247,35 @@ func clampIDs(ids []uint64) []uint64 {
 // at addr, returning the number of messages that moved in either
 // direction. The round's context is bounded by ExchangeTimeout before
 // the dial: a blackholed partner must cost one timed-out exchange, not
-// a round wedged for as long as the caller's context lives (armConn
-// only bounds the connection once the dial has returned).
+// a round wedged for as long as the caller's context lives. The same
+// context is then bound to the connection (wire.Conn.Bind).
 func (e *Engine) Exchange(ctx context.Context, addr string, fileID uint64) (int, error) {
 	ids, k, payloadLen := e.snapshotIDs(fileID)
 	if len(ids) == 0 {
 		return 0, fmt.Errorf("gossip: nothing stored for file %d", fileID)
 	}
-	if e.cfg.ExchangeTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.ExchangeTimeout)
-		defer cancel()
-	}
-	conn, err := e.cfg.Transport.DialContext(ctx, addr)
+	ctx, cancel := context.WithTimeout(ctx, e.cfg.ExchangeTimeout)
+	defer cancel()
+	nc, err := e.cfg.Transport.DialContext(ctx, addr)
 	if err != nil {
 		return 0, err
 	}
+	conn := wire.NewConn(nc)
 	defer conn.Close()
-	stop := e.armConn(ctx, conn)
-	defer stop()
-	fr := wire.NewFrameReader(conn)
-	fw := wire.NewFrameWriter(conn)
+	defer conn.Bind(ctx).Unbind()
 
-	if err := writeJSON(fw, typeOffer, offerMsg{FileID: fileID, K: k, PayloadLen: payloadLen, IDs: ids}); err != nil {
+	if err := writeJSON(conn, typeOffer, offerMsg{FileID: fileID, K: k, PayloadLen: payloadLen, IDs: ids}); err != nil {
 		return 0, err
 	}
 	var want wantMsg
-	if err := readJSON(fr, typeWant, &want); err != nil {
+	if err := readJSON(conn, typeWant, &want); err != nil {
 		return 0, err
 	}
 	if len(want.Want) > e.cfg.Budget {
 		want.Want = want.Want[:e.cfg.Budget]
 	}
 	want.Offer = clampIDs(want.Offer)
-	sent, err := e.sendData(fw, fileID, want.Want)
+	sent, err := e.sendData(conn, fileID, want.Want)
 	if err != nil {
 		return sent, err
 	}
@@ -308,22 +286,22 @@ func (e *Engine) Exchange(ctx context.Context, addr string, fileID uint64) (int,
 		pull = missing(want.Offer, g.ids, e.cfg.Budget)
 	}
 	e.mu.Unlock()
-	if err := writeJSON(fw, typePull, pullMsg{Want: pull}); err != nil {
+	if err := writeJSON(conn, typePull, pullMsg{Want: pull}); err != nil {
 		return sent, err
 	}
-	got, _, err := e.readData(fr, fileID, k, payloadLen, typeDone)
+	got, _, err := e.readData(conn, fileID, k, payloadLen, typeDone)
 	return sent + got, err
 }
 
-// serveExchange handles one inbound exchange.
-func (e *Engine) serveExchange(conn net.Conn) error {
-	stop := e.armConn(e.ctx, conn)
-	defer stop()
-	fr := wire.NewFrameReader(conn)
-	fw := wire.NewFrameWriter(conn)
+// serveExchange handles one inbound exchange, bounded by
+// ExchangeTimeout and by the engine's lifetime.
+func (e *Engine) serveExchange(conn *wire.Conn) error {
+	ctx, cancel := context.WithTimeout(e.ctx, e.cfg.ExchangeTimeout)
+	defer cancel()
+	defer conn.Bind(ctx).Unbind()
 
 	var offer offerMsg
-	if err := readJSON(fr, typeOffer, &offer); err != nil {
+	if err := readJSON(conn, typeOffer, &offer); err != nil {
 		return err
 	}
 	if len(offer.IDs) == 0 {
@@ -336,10 +314,10 @@ func (e *Engine) serveExchange(conn net.Conn) error {
 	offerBack := surplus(g.ids, offer.IDs, e.cfg.Budget)
 	e.mu.Unlock()
 
-	if err := writeJSON(fw, typeWant, wantMsg{Want: wantIDs, Offer: offerBack}); err != nil {
+	if err := writeJSON(conn, typeWant, wantMsg{Want: wantIDs, Offer: offerBack}); err != nil {
 		return err
 	}
-	_, pullPayload, err := e.readData(fr, offer.FileID, offer.K, offer.PayloadLen, typePull)
+	_, pullPayload, err := e.readData(conn, offer.FileID, offer.K, offer.PayloadLen, typePull)
 	if err != nil {
 		return err
 	}
@@ -350,8 +328,8 @@ func (e *Engine) serveExchange(conn net.Conn) error {
 	if len(pull.Want) > e.cfg.Budget {
 		pull.Want = pull.Want[:e.cfg.Budget]
 	}
-	if _, err := e.sendData(fw, offer.FileID, pull.Want); err != nil {
+	if _, err := e.sendData(conn, offer.FileID, pull.Want); err != nil {
 		return err
 	}
-	return fw.WriteFrame(typeDone, nil)
+	return conn.Send(typeDone, nil)
 }

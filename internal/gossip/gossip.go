@@ -33,6 +33,7 @@ import (
 	"asymshare/internal/rlnc"
 	"asymshare/internal/store"
 	"asymshare/internal/transport"
+	"asymshare/internal/wire"
 )
 
 // Defaults for the dissemination knobs.
@@ -242,13 +243,14 @@ func (e *Engine) Close() error {
 func (e *Engine) acceptLoop(ln net.Listener) {
 	defer e.wg.Done()
 	for {
-		conn, err := ln.Accept()
+		nc, err := transport.Accept(ln, e.ctx.Done(), nil)
 		if err != nil {
 			return
 		}
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
+			conn := wire.NewConn(nc)
 			defer conn.Close()
 			_ = e.serveExchange(conn)
 		}()

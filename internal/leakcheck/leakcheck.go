@@ -10,6 +10,7 @@ package leakcheck
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -24,11 +25,13 @@ import (
 const grace = 5 * time.Second
 
 // Main runs the tests and exits with their status, or with 1 when they
-// passed but leaked goroutines.
+// passed but leaked goroutines. A fuzzing run (-test.fuzz) is not
+// checked: the fuzzing engine keeps goroutines of its own, such as its
+// signal handler, running after m.Run.
 func Main(m *testing.M) {
 	before := ids(stacks())
 	code := m.Run()
-	if code == 0 {
+	if code == 0 && !fuzzing() {
 		if leaked := survivors(before, grace); len(leaked) > 0 {
 			fmt.Fprintf(os.Stderr, "leakcheck: %d goroutine(s) still running after the tests:\n\n%s\n",
 				len(leaked), strings.Join(leaked, "\n\n"))
@@ -88,4 +91,11 @@ func goroutineID(g string) string {
 		return ""
 	}
 	return f[1]
+}
+
+// fuzzing reports whether the test binary runs as a fuzzing coordinator
+// or worker.
+func fuzzing() bool {
+	f := flag.Lookup("test.fuzz")
+	return f != nil && f.Value.String() != ""
 }

@@ -117,12 +117,14 @@ func TestWireMuxDifferentialChaos(t *testing.T) {
 	fetchCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
+	var sessions []*client.PeerSession
 	for _, addr := range addrs {
 		s, err := cl.NewPeerSession(ctx, addr)
 		if err != nil {
 			t.Fatalf("session to %s: %v", addr, err)
 		}
 		defer s.Close()
+		sessions = append(sessions, s)
 		wg.Add(1)
 		go func(s *client.PeerSession) {
 			defer wg.Done()
@@ -145,6 +147,10 @@ func TestWireMuxDifferentialChaos(t *testing.T) {
 	}
 	if !bytes.Equal(got, gen.Data) {
 		t.Fatal("muxed path decoded bytes differ from original")
+	}
+	// A session's connection holds a pooled window until it closes.
+	for _, s := range sessions {
+		s.Close()
 	}
 	checkDefaultPool(t, before)
 }

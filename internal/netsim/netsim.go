@@ -272,7 +272,11 @@ func (h *Host) Listen(addr string) (net.Listener, error) {
 
 // DialContext opens a connection to addr ("host:port"), applying the
 // src→dst link policy: partition refusal, blackhole stall,
-// probabilistic drop, then propagation delay.
+// probabilistic drop, then propagation delay. Every dial's outcome is
+// decided, and logged, before any wait: a dial whose caller gives up
+// during the propagation delay or the backlog wait still appears in the
+// event log, so the log depends on the seed and the scenario, not on
+// when the caller's context ended.
 func (h *Host) DialContext(ctx context.Context, addr string) (net.Conn, error) {
 	f := h.f
 	dstHost, _, err := net.SplitHostPort(addr)
@@ -288,6 +292,7 @@ func (h *Host) DialContext(ctx context.Context, addr string) (net.Conn, error) {
 	pol := f.policyLocked(key)
 	crossing := f.crossingLocked(h.name, dstHost)
 	blackholed := f.blackhole[h.name] || f.blackhole[dstHost]
+	ln := f.listeners[addr]
 	f.mu.Unlock()
 
 	if crossing {
@@ -307,28 +312,29 @@ func (h *Host) DialContext(ctx context.Context, addr string) (net.Conn, error) {
 		}
 		return nil, fmt.Errorf("netsim: dial %s: %w", addr, ErrDropped)
 	}
-	if d := pol.delay(dialRng); d > 0 {
-		if err := sleepCtx(ctx, d); err != nil {
+	delay := pol.delay(dialRng)
+	if ln == nil {
+		f.events.add(link, "dial#%d refused: no listener", seq)
+	} else {
+		f.events.add(link, "dial#%d ok", seq)
+	}
+	if delay > 0 {
+		if err := sleepCtx(ctx, delay); err != nil {
 			return nil, fmt.Errorf("netsim: dial %s: %w", addr, err)
 		}
 	}
-
-	f.mu.Lock()
-	ln := f.listeners[addr]
-	f.mu.Unlock()
+	refused := fmt.Errorf("netsim: dial %s: connection refused", addr)
 	if ln == nil {
-		f.events.add(link, "dial#%d refused: no listener", seq)
-		return nil, fmt.Errorf("netsim: dial %s: connection refused", addr)
+		return nil, refused
 	}
 	cli, srv := f.connect(key, seq, addr)
 	select {
 	case ln.backlog <- srv:
-		f.events.add(link, "dial#%d ok", seq)
 		return cli, nil
 	case <-ln.done:
 		cli.Close()
 		f.events.add(link, "dial#%d refused: listener closed", seq)
-		return nil, fmt.Errorf("netsim: dial %s: connection refused", addr)
+		return nil, refused
 	case <-ctx.Done():
 		cli.Close()
 		return nil, fmt.Errorf("netsim: dial %s: %w", addr, ctx.Err())

@@ -7,6 +7,7 @@ package peer
 import (
 	"bytes"
 	"context"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -272,19 +273,24 @@ func TestAdmissionRefusalScanAllocs(t *testing.T) {
 // gets a terminal BUSY/CodeExpired and the accounting records it.
 func TestServeStreamDropsExpiredDeadline(t *testing.T) {
 	n := admissionNode(t, Config{UploadBytesPerSec: 1e6})
-	var buf bytes.Buffer
-	cw := newConnWriter(&buf)
+	srv, cli := net.Pipe()
+	conn, requester := wire.NewConn(srv), wire.NewConn(cli)
+	defer conn.Close()
+	defer requester.Close()
 	s := fakeStream("late", 0)
 	s.fileID = 42
 	s.deadline = time.Now().Add(-time.Millisecond)
 
-	n.serveStream(context.Background(), cw, s, []*rlnc.Message{{}})
-
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		n.serveStream(context.Background(), conn, s, []*rlnc.Message{{}})
+	}()
+	b, err := requester.Expect(wire.TypeBusy)
+	<-served
 	if st := n.OverloadStats(); st.Expired != 1 {
 		t.Fatalf("Expired = %d, want 1", st.Expired)
 	}
-	fr := wire.NewFrameReader(bytes.NewReader(buf.Bytes()))
-	b, err := fr.Expect(wire.TypeBusy)
 	if err != nil {
 		t.Fatalf("expected a BUSY frame: %v", err)
 	}

@@ -26,15 +26,12 @@ func auditChallenge(fileID uint64, ids ...uint64) wire.AuditChallenge {
 }
 
 // TestAuditMalformedChallengeYieldsRemoteError pins the satellite
-// contract for wire.SendError: garbage on the audit path produces a
+// contract for wire.Conn.Reject: garbage on the audit path produces a
 // typed *RemoteError on the client side, not a hang or a bare close.
 func TestAuditMalformedChallengeYieldsRemoteError(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 220), Store: store.NewMemory()})
 	conn := dialAuthed(t, node, identity(t, 221))
-	if err := wire.WriteFrame(conn, wire.TypeAuditChallenge, []byte{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := wire.Expect(conn, wire.TypeAuditResponse)
+	_, err := conn.Call(timeoutCtx(t), wire.TypeAuditChallenge, []byte{1, 2, 3}, wire.TypeAuditResponse)
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *wire.RemoteError", err)
@@ -51,10 +48,7 @@ func TestAuditOversizedChallengeYieldsRemoteError(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 222), Store: store.NewMemory()})
 	conn := dialAuthed(t, node, identity(t, 223))
 	ch := auditChallenge(1, make([]uint64, wire.MaxAuditSample+1)...)
-	if err := wire.WriteFrame(conn, wire.TypeAuditChallenge, ch.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	_, err := wire.Expect(conn, wire.TypeAuditResponse)
+	_, err := conn.Call(timeoutCtx(t), wire.TypeAuditChallenge, ch.Marshal(), wire.TypeAuditResponse)
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *wire.RemoteError", err)
@@ -73,15 +67,14 @@ func TestAuditAnswersHeldAndMissing(t *testing.T) {
 	conn := dialAuthed(t, node, identity(t, 225))
 
 	ch := auditChallenge(9, 4, 77)
-	if err := wire.WriteFrame(conn, wire.TypeAuditChallenge, ch.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := wire.Expect(conn, wire.TypeAuditResponse)
+	reply, err := conn.Call(timeoutCtx(t), wire.TypeAuditChallenge, ch.Marshal(), wire.TypeAuditResponse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var resp wire.AuditResponse
-	if err := resp.Unmarshal(frame.Payload); err != nil {
+	err = resp.Unmarshal(reply.Bytes())
+	reply.Release()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.FileID != 9 || len(resp.Proofs) != 2 {
@@ -104,7 +97,7 @@ func TestAuditAnswersHeldAndMissing(t *testing.T) {
 	if served != 1 || sampled != 2 || heldN != 1 {
 		t.Errorf("AuditStats = (%d,%d,%d), want (1,2,1)", served, sampled, heldN)
 	}
-	if err := wire.WriteFrame(conn, wire.TypeBye, nil); err != nil {
+	if err := conn.Send(wire.TypeBye, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,11 +3,11 @@ package peer
 // Per-connection protocol handling. After the mutual handshake the peer
 // processes PUT (initialization uploads), GET_MUX (download requests,
 // served by shaped writer goroutines), STOP, FEEDBACK (owner only) and
-// BYE frames. DATA writes and control replies share the
-// connection, so all writes go through a per-connection mutex wrapping
-// one batched FrameWriter.
+// BYE frames. Everything runs on one wire.Conn: DATA writes, control
+// replies and error frames all go through its one writer under its
+// write lock, so no frame can land inside another.
 //
-// Frames are read through a pooled wire.FrameReader: each payload
+// Frames are read through the Conn's pooled reader: each payload
 // arrives in a reference-counted buffer that the dispatch loop releases
 // after the handler returns (handlers copy what they keep). The serve
 // path frames stored messages with QueueSpan — 16 header bytes copied,
@@ -42,51 +42,18 @@ import (
 // time and the latency it imposes on control replies.
 const serveBatchBytes = 256 << 10
 
-// connWriter serializes frame writes from the control loop and the
-// data-stream goroutines over one batched FrameWriter.
-type connWriter struct {
-	mu sync.Mutex
-	fw *wire.FrameWriter
-}
-
-func newConnWriter(w io.Writer) *connWriter {
-	return &connWriter{fw: wire.NewFrameWriter(w)}
-}
-
-func (cw *connWriter) writeFrame(t wire.Type, payload []byte) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	return cw.fw.WriteFrame(t, payload)
-}
-
-// writeErrorFrame sends a connection-level error frame under the write
-// lock, following the wire.SendError contract: best-effort, the caller
-// must still treat the exchange as failed and close the connection.
-func (cw *connWriter) writeErrorFrame(code uint16, reason string) error {
-	msg := wire.ErrorMsg{Code: code, Reason: reason}
-	return cw.writeFrame(wire.TypeError, msg.Marshal())
-}
-
-// writeStreamError sends a stream-scoped error: the named stream is
-// dead, the connection is not.
-func (cw *connWriter) writeStreamError(fileID uint64, code uint16, reason string) error {
-	e := wire.StreamError{FileID: fileID, Code: code, Reason: reason}
-	return cw.writeFrame(wire.TypeStreamError, e.Marshal())
-}
-
-// writeBusy sends a load-shed refusal for one stream: retry after the
+// sendBusy sends a load-shed refusal for one stream: retry after the
 // hint, the connection stays open either way.
-func (cw *connWriter) writeBusy(fileID uint64, code uint16, retryAfterMillis uint32, reason string) error {
+func sendBusy(conn *wire.Conn, fileID uint64, code uint16, retryAfterMillis uint32, reason string) error {
 	b := wire.Busy{FileID: fileID, Code: code, RetryAfterMillis: retryAfterMillis, Reason: reason}
-	return cw.writeFrame(wire.TypeBusy, b.Marshal())
+	return conn.Send(wire.TypeBusy, b.Marshal())
 }
 
 // connState bundles the per-connection resources the frame dispatcher
 // and its stream goroutines share.
 type connState struct {
 	n         *Node
-	conn      net.Conn
-	cw        *connWriter
+	conn      *wire.Conn
 	client    fairshare.ID
 	clientKey ed25519.PublicKey
 	ctx       context.Context
@@ -96,8 +63,11 @@ type connState struct {
 	active map[uint64]*stream
 }
 
-func (n *Node) handleConn(conn net.Conn) {
+func (n *Node) handleConn(nc net.Conn) {
+	conn := wire.NewConn(nc)
 	defer conn.Close()
+	// Node shutdown closes the connection, unblocking the read loop.
+	defer conn.Bind(n.ctx).Unbind()
 	clientKey, role, err := wire.ResponderHandshake(conn, n.cfg.Identity, n.cfg.Trusted)
 	if err != nil {
 		n.log.Debug("handshake failed", "remote", conn.RemoteAddr().String(), "err", err)
@@ -122,31 +92,14 @@ func (n *Node) handleConn(conn net.Conn) {
 	cs := &connState{
 		n:         n,
 		conn:      conn,
-		cw:        newConnWriter(conn),
 		client:    client,
 		clientKey: clientKey,
 		ctx:       connCtx,
 		wg:        &streamWG,
 		active:    make(map[uint64]*stream),
 	}
-
-	// Close the connection when the node shuts down so the read loop
-	// unblocks.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		select {
-		case <-n.ctx.Done():
-			conn.Close()
-		case <-stopWatch:
-		}
-	}()
-
-	fr := wire.NewFrameReader(conn)
 	for {
-		t, buf, err := fr.Next()
+		t, buf, err := conn.Next()
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				n.log.Debug("read error", "client", client, "err", err)
@@ -168,12 +121,12 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 	n, client := cs.n, cs.client
 	switch t {
 	case wire.TypePut:
-		if err := n.handlePut(cs.cw, client, payload); err != nil {
+		if err := n.handlePut(cs.conn, client, payload); err != nil {
 			n.log.Debug("put failed", "client", client, "err", err)
 			return true
 		}
 	case wire.TypePatch:
-		if err := n.handlePatch(cs.cw, client, payload); err != nil {
+		if err := n.handlePatch(cs.conn, client, payload); err != nil {
 			n.log.Debug("patch failed", "client", client, "err", err)
 			return true
 		}
@@ -182,7 +135,7 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 	case wire.TypeStop:
 		var stop wire.Stop
 		if err := stop.Unmarshal(payload); err != nil {
-			wire.SendError(cs.conn, wire.CodeBadRequest, "malformed stop")
+			_ = cs.conn.Reject(wire.CodeBadRequest, "malformed stop")
 			return true
 		}
 		cs.mu.Lock()
@@ -203,44 +156,44 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 		if err != nil {
 			return true
 		}
-		if err := cs.cw.writeFrame(wire.TypeFileList, blob); err != nil {
+		if err := cs.conn.Send(wire.TypeFileList, blob); err != nil {
 			return true
 		}
 	case wire.TypeAuditChallenge:
-		if err := n.handleAudit(cs.cw, client, payload); err != nil {
+		if err := n.handleAudit(cs.conn, client, payload); err != nil {
 			n.log.Debug("audit failed", "client", client, "err", err)
 			return true
 		}
 	case wire.TypeContractPropose:
-		if err := n.handleContractPropose(cs.cw, client, payload); err != nil {
+		if err := n.handleContractPropose(cs.conn, client, payload); err != nil {
 			n.log.Debug("contract propose failed", "client", client, "err", err)
 			return true
 		}
 	case wire.TypeContractRenew:
-		if err := n.handleContractRenew(cs.cw, client, payload); err != nil {
+		if err := n.handleContractRenew(cs.conn, client, payload); err != nil {
 			n.log.Debug("contract renew failed", "client", client, "err", err)
 			return true
 		}
 	case wire.TypeContractRelease:
-		if err := n.handleContractRelease(cs.cw, client, payload); err != nil {
+		if err := n.handleContractRelease(cs.conn, client, payload); err != nil {
 			n.log.Debug("contract release failed", "client", client, "err", err)
 			return true
 		}
 	case wire.TypeContractList:
-		if err := n.handleContractList(cs.cw, client); err != nil {
+		if err := n.handleContractList(cs.conn, client); err != nil {
 			return true
 		}
 	case wire.TypeFeedback:
 		n.handleFeedback(cs.clientKey, client, payload)
 		// Acknowledge so the sender knows the credits landed before
 		// it disconnects.
-		if err := cs.cw.writeFrame(wire.TypePutOK, nil); err != nil {
+		if err := cs.conn.Send(wire.TypePutOK, nil); err != nil {
 			return true
 		}
 	case wire.TypeBye:
 		return true
 	default:
-		wire.SendError(cs.conn, wire.CodeBadRequest, "unexpected frame "+t.String())
+		_ = cs.conn.Reject(wire.CodeBadRequest, "unexpected frame "+t.String())
 		return true
 	}
 	return false
@@ -252,7 +205,7 @@ func (cs *connState) dispatch(t wire.Type, payload []byte) bool {
 func (cs *connState) handleGet(payload []byte) bool {
 	var get wire.Get
 	if err := get.Unmarshal(payload); err != nil {
-		wire.SendError(cs.conn, wire.CodeBadRequest, "malformed get")
+		_ = cs.conn.Reject(wire.CodeBadRequest, "malformed get")
 		return true
 	}
 	s, err := cs.n.startStream(cs, get)
@@ -273,47 +226,47 @@ func (cs *connState) handleGet(payload []byte) bool {
 
 // handlePut stores one uploaded message. The first uploader of a
 // file-id becomes its owner; writes from anyone else are refused.
-func (n *Node) handlePut(cw *connWriter, client fairshare.ID, payload []byte) error {
+func (n *Node) handlePut(conn *wire.Conn, client fairshare.ID, payload []byte) error {
 	var msg rlnc.Message
 	if err := msg.UnmarshalBinary(payload); err != nil {
 		return err
 	}
 	if !n.claimFile(msg.FileID, client) {
-		_ = cw.writeErrorFrame(wire.CodeNotPermitted, "file owned by another user")
+		_ = conn.Reject(wire.CodeNotPermitted, "file owned by another user")
 		return fmt.Errorf("put for file %d owned by another user", msg.FileID)
 	}
 	if err := n.cfg.Store.Put(&msg); err != nil {
 		return err
 	}
 	n.recordStored(len(payload))
-	return cw.writeFrame(wire.TypePutOK, nil)
+	return conn.Send(wire.TypePutOK, nil)
 }
 
 // handlePatch applies a delta message (Sec. VI-A data modification) to
 // the matching stored message. Only the file's owner may patch.
-func (n *Node) handlePatch(cw *connWriter, client fairshare.ID, payload []byte) error {
+func (n *Node) handlePatch(conn *wire.Conn, client fairshare.ID, payload []byte) error {
 	var delta rlnc.Message
 	if err := delta.UnmarshalBinary(payload); err != nil {
 		return err
 	}
 	if !n.claimFile(delta.FileID, client) {
-		_ = cw.writeErrorFrame(wire.CodeNotPermitted, "file owned by another user")
+		_ = conn.Reject(wire.CodeNotPermitted, "file owned by another user")
 		return fmt.Errorf("patch for file %d owned by another user", delta.FileID)
 	}
 	stored, err := n.cfg.Store.Get(delta.FileID, delta.MessageID)
 	if err != nil {
-		_ = cw.writeErrorFrame(wire.CodeUnknownFile,
+		_ = conn.Reject(wire.CodeUnknownFile,
 			fmt.Sprintf("no stored message (%d,%d)", delta.FileID, delta.MessageID))
 		return err
 	}
 	if err := rlnc.ApplyDelta(stored, &delta); err != nil {
-		_ = cw.writeErrorFrame(wire.CodeBadRequest, "delta mismatch")
+		_ = conn.Reject(wire.CodeBadRequest, "delta mismatch")
 		return err
 	}
 	if err := n.cfg.Store.Put(stored); err != nil {
 		return err
 	}
-	return cw.writeFrame(wire.TypePutOK, nil)
+	return conn.Send(wire.TypePutOK, nil)
 }
 
 // handleFeedback folds the owner's receipt report into the ledger.
@@ -346,10 +299,10 @@ func (n *Node) handleFeedback(clientKey ed25519.PublicKey, client fairshare.ID, 
 // fail verification anyway, since the owner checks against the digests
 // recorded at dissemination time. A malformed challenge is answered
 // with a typed error frame and kills the connection.
-func (n *Node) handleAudit(cw *connWriter, client fairshare.ID, payload []byte) error {
+func (n *Node) handleAudit(conn *wire.Conn, client fairshare.ID, payload []byte) error {
 	var ch wire.AuditChallenge
 	if err := ch.Unmarshal(payload); err != nil {
-		_ = cw.writeErrorFrame(wire.CodeBadRequest, "malformed audit challenge")
+		_ = conn.Reject(wire.CodeBadRequest, "malformed audit challenge")
 		return err
 	}
 	resp := wire.AuditResponse{FileID: ch.FileID, Proofs: make([]wire.AuditProof, 0, len(ch.MessageIDs))}
@@ -367,14 +320,15 @@ func (n *Node) handleAudit(cw *connWriter, client fairshare.ID, payload []byte) 
 	n.recordAudit(proven, len(ch.MessageIDs))
 	n.log.Debug("audit answered", "client", client, "file", ch.FileID,
 		"sampled", len(ch.MessageIDs), "held", proven)
-	return cw.writeFrame(wire.TypeAuditResponse, resp.Marshal())
+	return conn.Send(wire.TypeAuditResponse, resp.Marshal())
 }
 
 // startStream begins serving a GET_MUX request on its own goroutine.
 func (n *Node) startStream(cs *connState, get wire.Get) (*stream, error) {
 	msgs, err := n.cfg.Store.Messages(get.FileID)
 	if err != nil {
-		_ = cs.cw.writeStreamError(get.FileID, wire.CodeUnknownFile, fmt.Sprintf("file %d", get.FileID))
+		e := wire.StreamError{FileID: get.FileID, Code: wire.CodeUnknownFile, Reason: fmt.Sprintf("file %d", get.FileID)}
+		_ = cs.conn.Send(wire.TypeStreamError, e.Marshal())
 		return nil, &wire.RemoteError{Code: wire.CodeUnknownFile}
 	}
 	if get.Limit > 0 && int(get.Limit) < len(msgs) {
@@ -405,9 +359,9 @@ func (n *Node) startStream(cs *connState, get wire.Get) (*stream, error) {
 		// with the requester is needed: anchor it here.
 		s.deadline = time.Now().Add(time.Duration(get.DeadlineMillis) * time.Millisecond)
 	}
-	cw := cs.cw
+	conn := cs.conn
 	s.notifyBusy = func(code uint16, retryAfterMillis uint32, reason string) {
-		_ = cw.writeBusy(get.FileID, code, retryAfterMillis, reason)
+		_ = sendBusy(conn, get.FileID, code, retryAfterMillis, reason)
 	}
 	s.bucket.SetMetrics(n.m.waitSeconds, n.m.throttled)
 	verdict := n.admitStream(s)
@@ -417,7 +371,7 @@ func (n *Node) startStream(cs *connState, get wire.Get) (*stream, error) {
 	if !verdict.ok {
 		cancel()
 		n.recordShed(cs.client, false)
-		_ = cw.writeBusy(get.FileID, wire.CodeBusy, verdict.retryAfterMillis, "at stream capacity")
+		_ = sendBusy(conn, get.FileID, wire.CodeBusy, verdict.retryAfterMillis, "at stream capacity")
 		return nil, &wire.RemoteError{Code: wire.CodeBusy}
 	}
 	cs.wg.Add(1)
@@ -432,7 +386,7 @@ func (n *Node) startStream(cs *connState, get wire.Get) (*stream, error) {
 			}
 			cs.mu.Unlock()
 		}()
-		n.serveStream(streamCtx, cs.cw, s, msgs)
+		n.serveStream(streamCtx, conn, s, msgs)
 	}()
 	return s, nil
 }
@@ -449,7 +403,7 @@ func (n *Node) startStream(cs *connState, get wire.Get) (*stream, error) {
 // and batches straight up to the flush watermark. Served bytes are
 // counted as each frame is queued, ahead of the write; a failed write
 // ends the stream, so at most its last batch is over-counted.
-func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs []*rlnc.Message) {
+func (n *Node) serveStream(ctx context.Context, conn *wire.Conn, s *stream, msgs []*rlnc.Message) {
 	var hdr [rlnc.MessageHeaderBytes]byte
 	for i := 0; i < len(msgs); {
 		// Dead work is dropped, not served: once the requester's
@@ -457,7 +411,7 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		// too late to matter, so tell the requester and free the slot.
 		if !s.deadline.IsZero() && time.Now().After(s.deadline) {
 			n.recordExpired()
-			_ = cw.writeBusy(s.fileID, wire.CodeExpired, 0, "deadline passed")
+			_ = sendBusy(conn, s.fileID, wire.CodeExpired, 0, "deadline passed")
 			return
 		}
 		// Brownout halves the batch budget per flush, re-read each
@@ -471,10 +425,13 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		} else if ctx.Err() != nil {
 			return
 		}
-		cw.mu.Lock()
+		fw, err := conn.LockWriter()
+		if err != nil {
+			return
+		}
 		flushStart := time.Now()
 		sent := 0
-		for first := true; i < len(msgs) && (first || cw.fw.Queued() < batchBytes); first = false {
+		for first := true; i < len(msgs) && (first || fw.Queued() < batchBytes); first = false {
 			msg := msgs[i]
 			nn := rlnc.MessageHeaderBytes + len(msg.Payload)
 			if !first && s.limited {
@@ -482,7 +439,7 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 					break
 				}
 				if err := s.bucket.WaitN(ctx, nn); err != nil {
-					cw.mu.Unlock()
+					conn.UnlockWriter()
 					return
 				}
 			}
@@ -492,8 +449,8 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 			// requester holds the bytes.
 			n.recordServed(s.client, nn)
 			msg.PutHeader(hdr[:])
-			if err := cw.fw.QueueSpan(wire.TypeData, hdr[:], msg.Payload); err != nil {
-				cw.mu.Unlock()
+			if err := fw.QueueSpan(wire.TypeData, hdr[:], msg.Payload); err != nil {
+				conn.UnlockWriter()
 				return
 			}
 			sent += nn
@@ -506,9 +463,9 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 		// first QueueSpan because the frame writer auto-flushes once
 		// enough is queued: the socket writes may happen inside the
 		// Queue calls, not in the final Flush.
-		err := cw.fw.Flush()
+		err = fw.Flush()
 		flushDur := time.Since(flushStart)
-		cw.mu.Unlock()
+		conn.UnlockWriter()
 		if err != nil {
 			return
 		}
@@ -520,6 +477,6 @@ func (n *Node) serveStream(ctx context.Context, cw *connWriter, s *stream, msgs 
 	case <-ctx.Done():
 	default:
 		eos := wire.Stop{FileID: s.fileID}
-		_ = cw.writeFrame(wire.TypeStop, eos.Marshal())
+		_ = conn.Send(wire.TypeStop, eos.Marshal())
 	}
 }

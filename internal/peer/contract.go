@@ -18,17 +18,17 @@ import (
 )
 
 // handleContractPropose admits (or refuses) one storage obligation.
-func (n *Node) handleContractPropose(lw *connWriter, client fairshare.ID, payload []byte) error {
+func (n *Node) handleContractPropose(conn *wire.Conn, client fairshare.ID, payload []byte) error {
 	var p wire.ContractPropose
 	if err := p.Unmarshal(payload); err != nil {
-		_ = lw.writeErrorFrame(wire.CodeBadRequest, "malformed contract proposal")
+		_ = conn.Reject(wire.CodeBadRequest, "malformed contract proposal")
 		return err
 	}
 	// An obligation for a file-id binds it to the proposing owner just
 	// like a first upload, so a stranger cannot contract storage for —
 	// and later overwrite — someone else's generation.
 	if !n.claimFile(p.FileID, client) {
-		_ = lw.writeErrorFrame(wire.CodeNotPermitted, "file owned by another user")
+		_ = conn.Reject(wire.CodeNotPermitted, "file owned by another user")
 		return fmt.Errorf("contract for file %d owned by another user", p.FileID)
 	}
 	c := contract.Contract{
@@ -42,55 +42,55 @@ func (n *Node) handleContractPropose(lw *connWriter, client fairshare.ID, payloa
 	if err := n.book.Accept(c); err != nil {
 		switch {
 		case errors.Is(err, contract.ErrOverCapacity):
-			_ = lw.writeErrorFrame(wire.CodeOverCapacity, "over advertised capacity")
+			_ = conn.Reject(wire.CodeOverCapacity, "over advertised capacity")
 		case errors.Is(err, contract.ErrNotOwner):
-			_ = lw.writeErrorFrame(wire.CodeNotPermitted, "contract owned by another user")
+			_ = conn.Reject(wire.CodeNotPermitted, "contract owned by another user")
 		default:
-			_ = lw.writeErrorFrame(wire.CodeBadRequest, "bad contract proposal")
+			_ = conn.Reject(wire.CodeBadRequest, "bad contract proposal")
 		}
 		return err
 	}
 	n.log.Debug("contract accepted", "client", client, "contract", c.ID,
 		"file", c.FileID, "bytes", c.Bytes, "expires", c.Expires)
-	return lw.writeFrame(wire.TypeContractGrant, n.grantFor(c.ID, c.Expires).Marshal())
+	return conn.Send(wire.TypeContractGrant, n.grantFor(c.ID, c.Expires).Marshal())
 }
 
 // handleContractRenew extends an accepted obligation's term.
-func (n *Node) handleContractRenew(lw *connWriter, client fairshare.ID, payload []byte) error {
+func (n *Node) handleContractRenew(conn *wire.Conn, client fairshare.ID, payload []byte) error {
 	var r wire.ContractRenew
 	if err := r.Unmarshal(payload); err != nil {
-		_ = lw.writeErrorFrame(wire.CodeBadRequest, "malformed contract renewal")
+		_ = conn.Reject(wire.CodeBadRequest, "malformed contract renewal")
 		return err
 	}
 	expires := time.Now().Add(time.Duration(r.TTLSeconds) * time.Second)
 	c, err := n.book.Renew(r.ContractID, string(client), expires)
 	if err != nil {
-		n.refuseContract(lw, err)
+		n.refuseContract(conn, err)
 		return err
 	}
-	return lw.writeFrame(wire.TypeContractGrant, n.grantFor(c.ID, c.Expires).Marshal())
+	return conn.Send(wire.TypeContractGrant, n.grantFor(c.ID, c.Expires).Marshal())
 }
 
 // handleContractRelease ends an obligation early, freeing capacity.
 // The grant answers with a zero expiry to mark the contract gone.
-func (n *Node) handleContractRelease(lw *connWriter, client fairshare.ID, payload []byte) error {
+func (n *Node) handleContractRelease(conn *wire.Conn, client fairshare.ID, payload []byte) error {
 	var r wire.ContractRelease
 	if err := r.Unmarshal(payload); err != nil {
-		_ = lw.writeErrorFrame(wire.CodeBadRequest, "malformed contract release")
+		_ = conn.Reject(wire.CodeBadRequest, "malformed contract release")
 		return err
 	}
 	c, err := n.book.Release(r.ContractID, string(client))
 	if err != nil {
-		n.refuseContract(lw, err)
+		n.refuseContract(conn, err)
 		return err
 	}
-	return lw.writeFrame(wire.TypeContractGrant, n.grantFor(c.ID, time.Unix(0, 0)).Marshal())
+	return conn.Send(wire.TypeContractGrant, n.grantFor(c.ID, time.Unix(0, 0)).Marshal())
 }
 
 // handleContractList reports the capacity line and the requesting
 // owner's contracts — only theirs; one tenant cannot enumerate
 // another's placements.
-func (n *Node) handleContractList(lw *connWriter, client fairshare.ID) error {
+func (n *Node) handleContractList(conn *wire.Conn, client fairshare.ID) error {
 	info := wire.ContractInfo{
 		CapacityBytes: uint64(n.book.Capacity()),
 		UsedBytes:     uint64(n.book.Used()),
@@ -108,22 +108,22 @@ func (n *Node) handleContractList(lw *connWriter, client fairshare.ID) error {
 	if err != nil {
 		return err
 	}
-	return lw.writeFrame(wire.TypeContractInfo, blob)
+	return conn.Send(wire.TypeContractInfo, blob)
 }
 
 // refuseContract maps a book error to its typed wire error frame,
-// following the SendError contract (best-effort; the caller still
+// following the wire.Conn.Reject contract (best-effort; the caller still
 // treats the exchange as failed and closes the connection).
-func (n *Node) refuseContract(lw *connWriter, err error) {
+func (n *Node) refuseContract(conn *wire.Conn, err error) {
 	switch {
 	case errors.Is(err, contract.ErrUnknown):
-		_ = lw.writeErrorFrame(wire.CodeUnknownContract, "unknown contract")
+		_ = conn.Reject(wire.CodeUnknownContract, "unknown contract")
 	case errors.Is(err, contract.ErrNotOwner):
-		_ = lw.writeErrorFrame(wire.CodeNotPermitted, "contract owned by another user")
+		_ = conn.Reject(wire.CodeNotPermitted, "contract owned by another user")
 	case errors.Is(err, contract.ErrOverCapacity):
-		_ = lw.writeErrorFrame(wire.CodeOverCapacity, "over advertised capacity")
+		_ = conn.Reject(wire.CodeOverCapacity, "over advertised capacity")
 	default:
-		_ = lw.writeErrorFrame(wire.CodeBadRequest, "bad contract request")
+		_ = conn.Reject(wire.CodeBadRequest, "bad contract request")
 	}
 }
 

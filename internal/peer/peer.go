@@ -450,52 +450,21 @@ func (n *Node) StoredBytes() int64 {
 	return n.putBytesIn
 }
 
-// Accept-loop backoff bounds. Transient accept failures (EMFILE,
-// ECONNABORTED, momentary stack trouble) must not kill the daemon: the
-// loop sleeps an exponentially growing, capped interval and tries
-// again, resetting once an accept succeeds.
-const (
-	acceptBackoffStart = 5 * time.Millisecond
-	acceptBackoffMax   = time.Second
-)
-
-// nextAcceptBackoff returns the delay after one more consecutive
-// accept failure: start on the first failure, doubling up to the cap.
-func nextAcceptBackoff(cur time.Duration) time.Duration {
-	if cur <= 0 {
-		return acceptBackoffStart
-	}
-	cur *= 2
-	if cur > acceptBackoffMax {
-		cur = acceptBackoffMax
-	}
-	return cur
-}
-
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
 	var sem chan struct{}
 	if n.cfg.MaxConns > 0 {
 		sem = make(chan struct{}, n.cfg.MaxConns)
 	}
-	var backoff time.Duration
+	onRetry := func(err error, delay time.Duration) {
+		n.m.acceptErrors.Inc()
+		n.log.Warn("accept error", "err", err, "retry_in", delay)
+	}
 	for {
-		conn, err := n.ln.Accept()
+		conn, err := transport.Accept(n.ln, n.ctx.Done(), onRetry)
 		if err != nil {
-			if n.ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				return
-			}
-			n.m.acceptErrors.Inc()
-			backoff = nextAcceptBackoff(backoff)
-			n.log.Warn("accept error", "err", err, "retry_in", backoff)
-			select {
-			case <-n.ctx.Done():
-				return
-			case <-time.After(backoff):
-			}
-			continue
+			return
 		}
-		backoff = 0
 		n.m.conns.Inc()
 		if sem != nil {
 			select {

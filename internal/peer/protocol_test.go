@@ -5,6 +5,7 @@ package peer_test
 // keep serving others.
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -17,47 +18,67 @@ import (
 	"asymshare/internal/wire"
 )
 
-// dialAuthed opens an authenticated user connection to the node.
-func dialAuthed(t *testing.T, node *peer.Node, user *auth.Identity) net.Conn {
+// dialConn opens a framed TCP connection to the node whose reads and
+// writes fail after timeout.
+func dialConn(t *testing.T, node *peer.Node, timeout time.Duration) *wire.Conn {
 	t.Helper()
-	conn, err := net.DialTimeout("tcp", node.Addr().String(), 5*time.Second)
+	nc, err := net.DialTimeout("tcp", node.Addr().String(), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+	if err := nc.SetDeadline(time.Now().Add(timeout)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.InitiatorHandshake(conn, user, wire.RoleUser, nil); err != nil {
+	conn := wire.NewConn(nc)
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// dialAuthed opens an authenticated user connection to the node.
+func dialAuthed(t *testing.T, node *peer.Node, user *auth.Identity) *wire.Conn {
+	t.Helper()
+	conn := dialConn(t, node, 10*time.Second)
+	if _, err := wire.InitiatorHandshake(timeoutCtx(t), conn, user, wire.RoleUser, nil); err != nil {
 		t.Fatal(err)
 	}
 	return conn
 }
 
+// timeoutCtx bounds one exchange of a test.
+func timeoutCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	t.Cleanup(cancel)
+	return ctx
+}
+
+// expectRejected reads the peer's answer to a bad frame: an ERROR frame
+// or a close, never a reply.
+func expectRejected(t *testing.T, conn *wire.Conn, what string) {
+	t.Helper()
+	defer conn.Bind(timeoutCtx(t)).Unbind()
+	ty, b, err := conn.Next()
+	if err == nil {
+		b.Release()
+		if ty != wire.TypeError {
+			t.Errorf("peer answered %s to %s, want error/close", ty, what)
+		}
+	}
+}
+
 func TestPeerRejectsGarbageBeforeHandshake(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 200), Store: store.NewMemory()})
-	conn, err := net.DialTimeout("tcp", node.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
+	conn := dialConn(t, node, 5*time.Second)
 	// A DATA frame where a HELLO is expected.
-	if err := wire.WriteFrame(conn, wire.TypeData, []byte("junk")); err != nil {
+	if err := conn.Send(wire.TypeData, []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
 	// The peer must answer with an error or just close; either way the
 	// connection dies without a successful handshake.
-	f, err := wire.ReadFrame(conn)
-	if err == nil && f.Type != wire.TypeError {
-		t.Errorf("peer answered %s to garbage, want error/close", f.Type)
-	}
+	expectRejected(t, conn, "garbage")
 	// The node still serves a well-behaved client afterwards.
 	user := identity(t, 201)
 	good := dialAuthed(t, node, user)
-	if err := wire.WriteFrame(good, wire.TypeBye, nil); err != nil {
+	if err := good.Send(wire.TypeBye, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -65,13 +86,10 @@ func TestPeerRejectsGarbageBeforeHandshake(t *testing.T) {
 func TestPeerRejectsMalformedGet(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 202), Store: store.NewMemory()})
 	conn := dialAuthed(t, node, identity(t, 203))
-	if err := wire.WriteFrame(conn, wire.TypeGetMux, []byte{1, 2, 3}); err != nil {
+	if err := conn.Send(wire.TypeGetMux, []byte{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := wire.ReadFrame(conn)
-	if err == nil && f.Type != wire.TypeError {
-		t.Errorf("malformed GET_MUX answered with %s", f.Type)
-	}
+	expectRejected(t, conn, "a malformed GET_MUX")
 }
 
 // TestPeerRefusesPlainGet: downloads are GET_MUX streams only. A
@@ -85,10 +103,7 @@ func TestPeerRefusesPlainGet(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 210), Store: st})
 	conn := dialAuthed(t, node, identity(t, 211))
 	get := wire.Get{FileID: 9}
-	if err := wire.WriteFrame(conn, wire.TypeGet, get.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	_, err := wire.Expect(conn, wire.TypeData)
+	_, err := conn.Call(timeoutCtx(t), wire.TypeGet, get.Marshal(), wire.TypeData)
 	var remote *wire.RemoteError
 	if !errors.As(err, &remote) || remote.Code != wire.CodeBadRequest {
 		t.Fatalf("plain GET answered with %v, want a bad-request RemoteError", err)
@@ -99,10 +114,7 @@ func TestPeerRejectsMalformedPut(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 204), Store: store.NewMemory()})
 	conn := dialAuthed(t, node, identity(t, 205))
 	// A PUT shorter than a message header kills the connection.
-	if err := wire.WriteFrame(conn, wire.TypePut, []byte{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.Expect(conn, wire.TypePutOK); err == nil {
+	if _, err := conn.Call(timeoutCtx(t), wire.TypePut, []byte{1, 2}, wire.TypePutOK); err == nil {
 		t.Error("malformed PUT acknowledged")
 	}
 }
@@ -110,20 +122,17 @@ func TestPeerRejectsMalformedPut(t *testing.T) {
 func TestPeerRejectsUnexpectedFrameType(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 206), Store: store.NewMemory()})
 	conn := dialAuthed(t, node, identity(t, 207))
-	if err := wire.WriteFrame(conn, wire.TypeChallenge, nil); err != nil {
+	if err := conn.Send(wire.TypeChallenge, nil); err != nil {
 		t.Fatal(err)
 	}
-	f, err := wire.ReadFrame(conn)
-	if err == nil && f.Type != wire.TypeError {
-		t.Errorf("unexpected frame answered with %s", f.Type)
-	}
+	expectRejected(t, conn, "an unexpected frame")
 }
 
 func TestPeerStopForUnknownStreamIsHarmless(t *testing.T) {
 	node := startPeer(t, peer.Config{Identity: identity(t, 208), Store: store.NewMemory()})
 	conn := dialAuthed(t, node, identity(t, 209))
 	stop := wire.Stop{FileID: 424242}
-	if err := wire.WriteFrame(conn, wire.TypeStop, stop.Marshal()); err != nil {
+	if err := conn.Send(wire.TypeStop, stop.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	// The connection stays usable: a PUT still round-trips.
@@ -132,12 +141,11 @@ func TestPeerStopForUnknownStreamIsHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(conn, wire.TypePut, buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.Expect(conn, wire.TypePutOK); err != nil {
+	reply, err := conn.Call(timeoutCtx(t), wire.TypePut, buf, wire.TypePutOK)
+	if err != nil {
 		t.Fatalf("PUT after stray STOP failed: %v", err)
 	}
+	reply.Release()
 }
 
 func TestMaxConnsSheds(t *testing.T) {
@@ -152,30 +160,25 @@ func TestMaxConnsSheds(t *testing.T) {
 	_ = first
 
 	// Second connection is shed: the handshake cannot complete.
-	conn, err := net.DialTimeout("tcp", node.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(3 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.InitiatorHandshake(conn, user, wire.RoleUser, nil); err == nil {
+	conn := dialConn(t, node, 3*time.Second)
+	if _, err := wire.InitiatorHandshake(timeoutCtx(t), conn, user, wire.RoleUser, nil); err == nil {
 		t.Error("second connection handshake succeeded despite MaxConns=1")
 	}
 
 	// Releasing the first slot lets new connections through.
-	if err := wire.WriteFrame(first, wire.TypeBye, nil); err != nil {
+	if err := first.Send(wire.TypeBye, nil); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		c2, err := net.DialTimeout("tcp", node.Addr().String(), time.Second)
+		nc, err := net.DialTimeout("tcp", node.Addr().String(), time.Second)
 		if err != nil {
 			continue
 		}
-		c2.SetDeadline(time.Now().Add(2 * time.Second))
-		_, err = wire.InitiatorHandshake(c2, user, wire.RoleUser, nil)
+		c2 := wire.NewConn(nc)
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		_, err = wire.InitiatorHandshake(ctx, c2, user, wire.RoleUser, nil)
+		cancel()
 		c2.Close()
 		if err == nil {
 			return

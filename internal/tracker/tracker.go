@@ -78,6 +78,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	files  map[uint64]map[string]entry
+	conns  map[*wire.Conn]struct{} // open client connections, closed by Close
 	ln     net.Listener
 	closed bool
 	wg     sync.WaitGroup
@@ -95,6 +96,7 @@ func NewServer(maxTTL time.Duration) *Server {
 		maxTTL: maxTTL,
 		now:    time.Now,
 		files:  make(map[uint64]map[string]entry),
+		conns:  make(map[*wire.Conn]struct{}),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	return s
@@ -153,10 +155,17 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	ln := s.ln
+	conns := make([]*wire.Conn, 0, len(s.conns))
+	for conn := range s.conns {
+		conns = append(conns, conn)
+	}
 	s.mu.Unlock()
 	s.cancel()
 	if ln != nil {
 		ln.Close()
+	}
+	for _, conn := range conns {
+		conn.Close() // unblocks its handler's read
 	}
 	s.wg.Wait()
 	return nil
@@ -165,69 +174,80 @@ func (s *Server) Close() error {
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
-		conn, err := s.ln.Accept()
+		nc, err := transport.Accept(s.ln, s.ctx.Done(), nil)
 		if err != nil {
+			return
+		}
+		conn := wire.NewConn(nc)
+		if !s.track(conn) {
+			conn.Close()
 			return
 		}
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			defer conn.Close()
-			s.handle(conn)
+			defer s.untrack(conn)
+			for s.serve(conn) {
+			}
 		}()
 	}
 }
 
-func (s *Server) handle(conn net.Conn) {
-	// Abort reads when the server closes.
-	stop := make(chan struct{})
-	defer close(stop)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		select {
-		case <-s.ctx.Done():
-			conn.Close()
-		case <-stop:
+// track registers an open connection for Close to close, reporting
+// false once the server is closed.
+func (s *Server) track(conn *wire.Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[conn] = struct{}{}
+	return true
+}
+
+// untrack closes a connection whose handler is done with it.
+func (s *Server) untrack(conn *wire.Conn) {
+	s.mu.Lock()
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	conn.Close()
+}
+
+// serve answers one request, reporting whether the connection stays
+// open for another.
+func (s *Server) serve(conn *wire.Conn) bool {
+	t, b, err := conn.Next()
+	if err != nil {
+		return false
+	}
+	defer b.Release()
+	switch t {
+	case typeAnnounce:
+		var msg announceMsg
+		if err := json.Unmarshal(b.Bytes(), &msg); err != nil || msg.Addr == "" {
+			_ = conn.Reject(wire.CodeBadRequest, "malformed announce")
+			return false
 		}
-	}()
-	for {
-		frame, err := wire.ReadFrame(conn)
+		s.announce(msg)
+		s.announces.Inc()
+		return conn.Send(typeOK, nil) == nil
+	case typeLookup:
+		var msg lookupMsg
+		if err := json.Unmarshal(b.Bytes(), &msg); err != nil {
+			_ = conn.Reject(wire.CodeBadRequest, "malformed lookup")
+			return false
+		}
+		blob, err := json.Marshal(addrsMsg{Addrs: s.Lookup(msg.FileID)})
 		if err != nil {
-			return
+			return false
 		}
-		switch frame.Type {
-		case typeAnnounce:
-			var msg announceMsg
-			if err := json.Unmarshal(frame.Payload, &msg); err != nil || msg.Addr == "" {
-				wire.SendError(conn, wire.CodeBadRequest, "malformed announce")
-				return
-			}
-			s.announce(msg)
-			s.announces.Inc()
-			if err := wire.WriteFrame(conn, typeOK, nil); err != nil {
-				return
-			}
-		case typeLookup:
-			var msg lookupMsg
-			if err := json.Unmarshal(frame.Payload, &msg); err != nil {
-				wire.SendError(conn, wire.CodeBadRequest, "malformed lookup")
-				return
-			}
-			blob, err := json.Marshal(addrsMsg{Addrs: s.Lookup(msg.FileID)})
-			if err != nil {
-				return
-			}
-			s.lookups.Inc()
-			if err := wire.WriteFrame(conn, typeAddrs, blob); err != nil {
-				return
-			}
-		case wire.TypeBye:
-			return
-		default:
-			wire.SendError(conn, wire.CodeBadRequest, "unexpected frame "+frame.Type.String())
-			return
-		}
+		s.lookups.Inc()
+		return conn.Send(typeAddrs, blob) == nil
+	case wire.TypeBye:
+		return false
+	default:
+		_ = conn.Reject(wire.CodeBadRequest, "unexpected frame "+t.String())
+		return false
 	}
 }
 
@@ -284,23 +304,8 @@ func Announce(ctx context.Context, trackerAddr string, fileID uint64, peerAddr s
 
 // AnnounceVia is Announce over an explicit transport.
 func AnnounceVia(ctx context.Context, tr transport.Transport, trackerAddr string, fileID uint64, peerAddr string, ttl time.Duration) error {
-	conn, err := dial(ctx, tr, trackerAddr)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
 	msg := announceMsg{FileID: fileID, Addr: peerAddr, TTLSec: int(ttl / time.Second)}
-	blob, err := json.Marshal(msg)
-	if err != nil {
-		return err
-	}
-	if err := wire.WriteFrame(conn, typeAnnounce, blob); err != nil {
-		return err
-	}
-	if _, err := wire.Expect(conn, typeOK); err != nil {
-		return fmt.Errorf("tracker: announce: %w", err)
-	}
-	return wire.WriteFrame(conn, wire.TypeBye, nil)
+	return call(ctx, tr, trackerAddr, "announce", typeAnnounce, msg, typeOK, nil)
 }
 
 // Lookup queries a tracker for the peers holding fileID over real
@@ -311,42 +316,42 @@ func Lookup(ctx context.Context, trackerAddr string, fileID uint64) ([]string, e
 
 // LookupVia is Lookup over an explicit transport.
 func LookupVia(ctx context.Context, tr transport.Transport, trackerAddr string, fileID uint64) ([]string, error) {
-	conn, err := dial(ctx, tr, trackerAddr)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	blob, err := json.Marshal(lookupMsg{FileID: fileID})
-	if err != nil {
-		return nil, err
-	}
-	if err := wire.WriteFrame(conn, typeLookup, blob); err != nil {
-		return nil, err
-	}
-	frame, err := wire.Expect(conn, typeAddrs)
-	if err != nil {
-		return nil, fmt.Errorf("tracker: lookup: %w", err)
-	}
 	var msg addrsMsg
-	if err := json.Unmarshal(frame.Payload, &msg); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	if err := call(ctx, tr, trackerAddr, "lookup", typeLookup, lookupMsg{FileID: fileID}, typeAddrs, &msg); err != nil {
+		return nil, err
 	}
-	_ = wire.WriteFrame(conn, wire.TypeBye, nil)
 	return msg.Addrs, nil
 }
 
-func dial(ctx context.Context, tr transport.Transport, addr string) (net.Conn, error) {
+// call runs one JSON request/reply exchange with the tracker at addr,
+// bound to ctx, and decodes the reply into resp unless it is nil.
+func call(ctx context.Context, tr transport.Transport, addr, verb string, t wire.Type, req any, want wire.Type, resp any) error {
 	if tr == nil {
 		tr = transport.Default
 	}
-	conn, err := tr.DialContext(ctx, addr)
+	blob, err := json.Marshal(req)
 	if err != nil {
-		return nil, fmt.Errorf("tracker: dial %s: %w", addr, err)
+		return err
 	}
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
+	nc, err := tr.DialContext(ctx, addr)
+	if err != nil {
+		return fmt.Errorf("tracker: dial %s: %w", addr, err)
 	}
-	return conn, nil
+	conn := wire.NewConn(nc)
+	defer conn.Close()
+	reply, err := conn.Call(ctx, t, blob, want)
+	if err != nil {
+		return fmt.Errorf("tracker: %s: %w", verb, err)
+	}
+	if resp != nil {
+		err = json.Unmarshal(reply.Bytes(), resp)
+	}
+	reply.Release()
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	_ = conn.Send(wire.TypeBye, nil) // the reply has answered; BYE is a courtesy
+	return nil
 }
 
 var _ io.Closer = (*Server)(nil)

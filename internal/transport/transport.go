@@ -8,7 +8,9 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"net"
+	"time"
 )
 
 // Transport opens listeners and outbound connections. Implementations
@@ -41,3 +43,54 @@ func (TCP) DialContext(ctx context.Context, addr string) (net.Conn, error) {
 // Default is the transport used when a component's configuration
 // leaves the transport nil.
 var Default Transport = TCP{}
+
+// Accept-loop backoff bounds. A transient accept failure (EMFILE,
+// ECONNABORTED, momentary stack trouble) must not stop a server: Accept
+// sleeps an exponentially growing, capped interval and tries again.
+const (
+	acceptBackoffStart = 5 * time.Millisecond
+	acceptBackoffMax   = time.Second
+)
+
+// nextAcceptBackoff returns the delay after one more consecutive
+// accept failure: start on the first failure, doubling up to the cap.
+func nextAcceptBackoff(cur time.Duration) time.Duration {
+	if cur <= 0 {
+		return acceptBackoffStart
+	}
+	return min(2*cur, acceptBackoffMax)
+}
+
+// Accept returns ln's next connection, retrying failed accepts after a
+// capped exponential backoff, so one transient error does not end the
+// caller's accept loop. onRetry, if non-nil, sees each failure and the
+// delay before the next try. Accept gives up only once ln is closed or
+// done is closed, and then returns net.ErrClosed.
+func Accept(ln net.Listener, done <-chan struct{}, onRetry func(err error, delay time.Duration)) (net.Conn, error) {
+	var backoff time.Duration
+	for {
+		conn, err := ln.Accept()
+		if err == nil {
+			return conn, nil
+		}
+		if errors.Is(err, net.ErrClosed) {
+			return nil, err
+		}
+		select {
+		case <-done:
+			return nil, net.ErrClosed
+		default:
+		}
+		backoff = nextAcceptBackoff(backoff)
+		if onRetry != nil {
+			onRetry(err, backoff)
+		}
+		timer := time.NewTimer(backoff)
+		select {
+		case <-done:
+			timer.Stop()
+			return nil, net.ErrClosed
+		case <-timer.C:
+		}
+	}
+}

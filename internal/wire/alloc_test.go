@@ -104,7 +104,7 @@ func TestFrameWriteSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cycle() // warm arena, vector and scratch capacity
+	cycle() // warm arena, vector and staging-pool capacity
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {
 		t.Fatalf("steady-state frame write allocates %v times per cycle of 12 frames, want 0", n)
 	}

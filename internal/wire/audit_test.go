@@ -106,19 +106,20 @@ func TestAuditResponseRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestSendErrorSurfacesAsRemoteError pins the SendError/Expect
-// contract: the receiving side gets a typed *RemoteError carrying the
-// code and reason, never a hang or a bare EOF.
+// TestSendErrorSurfacesAsRemoteError pins the Reject/Expect contract:
+// the receiving side gets a typed *RemoteError carrying the code and
+// reason, never a hang or a bare EOF.
 func TestSendErrorSurfacesAsRemoteError(t *testing.T) {
 	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
+	ca, cb := NewConn(a), NewConn(b)
+	defer ca.Close()
+	defer cb.Close()
 	go func() {
-		_ = SendError(a, CodeBadRequest, "malformed audit challenge")
-		a.Close()
+		_ = ca.Reject(CodeBadRequest, "malformed audit challenge")
+		ca.Close()
 	}()
 	_ = b.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, err := Expect(b, TypeAuditResponse)
+	_, err := cb.Expect(TypeAuditResponse)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *RemoteError", err)
@@ -129,13 +130,14 @@ func TestSendErrorSurfacesAsRemoteError(t *testing.T) {
 }
 
 // TestSendErrorReportsWriteFailure pins the documented best-effort
-// contract: a dead transport makes SendError return the write error
+// contract: a dead transport makes Reject return the write error
 // instead of pretending the frame was delivered.
 func TestSendErrorReportsWriteFailure(t *testing.T) {
 	a, b := net.Pipe()
-	a.Close()
+	ca := NewConn(a)
+	ca.Close()
 	b.Close()
-	if err := SendError(a, CodeInternal, "x"); err == nil {
-		t.Error("SendError on closed conn returned nil")
+	if err := ca.Reject(CodeInternal, "x"); err == nil {
+		t.Error("Reject on closed conn returned nil")
 	}
 }

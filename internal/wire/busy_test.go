@@ -83,13 +83,16 @@ func TestBusyUnmarshalRejectsShort(t *testing.T) {
 	}
 }
 
-// TestSendBusyReparses pins the reparse contract shared with SendError:
-// whatever SendBusy puts on the wire must decode cleanly through both
-// the legacy ReadFrame path and the pooled FrameReader, yielding the
-// fields the sender supplied.
+// TestSendBusyReparses pins the reparse contract shared with Reject:
+// a BUSY frame a Conn sends must decode cleanly through both the
+// ReadFrame oracle and the pooled FrameReader, yielding the fields the
+// sender supplied.
 func TestSendBusyReparses(t *testing.T) {
 	var buf bytes.Buffer
-	if err := SendBusy(&buf, 99, CodeBusy, 500, "admission queue full"); err != nil {
+	c := NewConn(&streamConn{in: bytes.NewReader(nil), out: &buf})
+	defer c.Close()
+	sent := Busy{FileID: 99, Code: CodeBusy, RetryAfterMillis: 500, Reason: "admission queue full"}
+	if err := c.Send(TypeBusy, sent.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()

@@ -100,21 +100,22 @@ func TestContractPayloadsRejectMalformed(t *testing.T) {
 	}
 }
 
-// TestContractOverCapacitySurfacesAsRemoteError pins the SendError
+// TestContractOverCapacitySurfacesAsRemoteError pins the Reject
 // contract for the capacity-rejection path: a peer refusing a contract
 // it cannot honor answers with CodeOverCapacity, and the proposing
 // owner surfaces it as a typed *RemoteError it can route on (try the
 // next candidate), never a hang or a bare EOF.
 func TestContractOverCapacitySurfacesAsRemoteError(t *testing.T) {
 	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
+	ca, cb := NewConn(a), NewConn(b)
+	defer ca.Close()
+	defer cb.Close()
 	go func() {
-		_ = SendError(a, CodeOverCapacity, "over advertised capacity")
-		a.Close()
+		_ = ca.Reject(CodeOverCapacity, "over advertised capacity")
+		ca.Close()
 	}()
 	_ = b.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, err := Expect(b, TypeContractGrant)
+	_, err := cb.Expect(TypeContractGrant)
 	var remote *RemoteError
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *RemoteError", err)

@@ -9,6 +9,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -16,14 +17,12 @@ import (
 	"asymshare/internal/auth"
 )
 
-// script feeds canned bytes to a handshake and captures its output.
-type script struct {
-	in  *bytes.Reader
-	out bytes.Buffer
+// script runs a handshake over a Conn that reads canned bytes and
+// captures what the handshake writes.
+func script(data []byte) (*Conn, *bytes.Buffer) {
+	out := new(bytes.Buffer)
+	return NewConn(&streamConn{in: bytes.NewReader(data), out: out}), out
 }
-
-func (s *script) Read(p []byte) (int, error)  { return s.in.Read(p) }
-func (s *script) Write(p []byte) (int, error) { return s.out.Write(p) }
 
 func fuzzIdentity(f *testing.F) *auth.Identity {
 	f.Helper()
@@ -69,15 +68,16 @@ func FuzzHandshakeResponder(f *testing.F) {
 	f.Add([]byte{byte(TypeHello), 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &script{in: bytes.NewReader(data)}
-		key, _, err := ResponderHandshake(s, id, nil)
+		c, out := script(data)
+		defer c.Close()
+		key, _, err := ResponderHandshake(c, id, nil)
 		if err == nil {
 			t.Fatalf("fuzzed bytes authenticated as %x", key)
 		}
 		if key != nil {
 			t.Fatal("failed handshake still returned a key")
 		}
-		checkWellFormedOutput(t, s.out.Bytes())
+		checkWellFormedOutput(t, out.Bytes())
 	})
 }
 
@@ -99,15 +99,16 @@ func FuzzHandshakeInitiator(f *testing.F) {
 	f.Add([]byte{byte(TypeError), 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s := &script{in: bytes.NewReader(data)}
-		key, err := InitiatorHandshake(s, id, RoleUser, nil)
+		c, out := script(data)
+		defer c.Close()
+		key, err := InitiatorHandshake(context.Background(), c, id, RoleUser, nil)
 		if err == nil {
 			t.Fatalf("fuzzed responder authenticated as %x", key)
 		}
 		if key != nil {
 			t.Fatal("failed handshake still returned a key")
 		}
-		checkWellFormedOutput(t, s.out.Bytes())
+		checkWellFormedOutput(t, out.Bytes())
 	})
 }
 
@@ -159,7 +160,7 @@ func fuzzSeedOverload() []byte {
 }
 
 // FuzzFrameReader is the differential fuzzer of ISSUE 8: any byte
-// stream, parsed by the pooled FrameReader and the legacy ReadFrame,
+// stream, parsed by the pooled FrameReader and the ReadFrame oracle,
 // must yield the identical (type, payload, error-class) sequence — and
 // the reader's pool must come out of every input, malformed or not,
 // with zero live buffers and zero double-releases.

@@ -13,32 +13,31 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"crypto/ed25519"
 	"fmt"
-	"io"
 
 	"asymshare/internal/auth"
 )
 
-// InitiatorHandshake authenticates to a responder and verifies it in
-// turn. trusted, if non-nil, restricts which responder keys are
-// acceptable. It returns the responder's public key.
-func InitiatorHandshake(rw io.ReadWriter, id *auth.Identity, role Role, trusted *auth.TrustSet) (ed25519.PublicKey, error) {
+// InitiatorHandshake authenticates to a responder over c and verifies
+// it in turn, as two Calls bound to ctx. trusted, if non-nil, restricts
+// which responder keys are acceptable. It returns the responder's
+// public key.
+func InitiatorHandshake(ctx context.Context, c *Conn, id *auth.Identity, role Role, trusted *auth.TrustSet) (ed25519.PublicKey, error) {
 	nonce, err := auth.NewChallenge()
 	if err != nil {
 		return nil, err
 	}
 	hello := Hello{Role: role, PubKey: id.Public(), Nonce: nonce}
-	if err := WriteFrame(rw, TypeHello, hello.Marshal()); err != nil {
-		return nil, err
-	}
-
-	f, err := Expect(rw, TypeChallenge)
+	b, err := c.Call(ctx, TypeHello, hello.Marshal(), TypeChallenge)
 	if err != nil {
 		return nil, fmt.Errorf("wire: handshake: %w", err)
 	}
 	var ch Challenge
-	if err := ch.Unmarshal(f.Payload); err != nil {
+	err = ch.Unmarshal(b.Bytes())
+	b.Release()
+	if err != nil {
 		return nil, err
 	}
 	responderKey := ed25519.PublicKey(ch.PubKey)
@@ -55,32 +54,34 @@ func InitiatorHandshake(rw io.ReadWriter, id *auth.Identity, role Role, trusted 
 		return nil, err
 	}
 	resp := AuthResponse{PubKey: id.Public(), Signature: sig}
-	if err := WriteFrame(rw, TypeAuthResponse, resp.Marshal()); err != nil {
-		return nil, err
-	}
-	if _, err := Expect(rw, TypeAuthOK); err != nil {
+	b, err = c.Call(ctx, TypeAuthResponse, resp.Marshal(), TypeAuthOK)
+	if err != nil {
 		return nil, fmt.Errorf("wire: handshake not accepted: %w", err)
 	}
+	b.Release()
 	return responderKey, nil
 }
 
-// ResponderHandshake runs the responder side. trusted, if non-nil,
-// restricts which initiator keys are served. It returns the verified
-// initiator key and its announced role.
-func ResponderHandshake(rw io.ReadWriter, id *auth.Identity, trusted *auth.TrustSet) (ed25519.PublicKey, Role, error) {
-	f, err := Expect(rw, TypeHello)
+// ResponderHandshake runs the responder side over c, answering a
+// failed step with an ERROR frame. trusted, if non-nil, restricts which
+// initiator keys are served. It returns the verified initiator key and
+// its announced role.
+func ResponderHandshake(c *Conn, id *auth.Identity, trusted *auth.TrustSet) (ed25519.PublicKey, Role, error) {
+	b, err := c.Expect(TypeHello)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wire: handshake: %w", err)
 	}
 	var hello Hello
-	if err := hello.Unmarshal(f.Payload); err != nil {
-		SendError(rw, CodeBadRequest, "malformed hello")
+	err = hello.Unmarshal(b.Bytes())
+	b.Release()
+	if err != nil {
+		c.Reject(CodeBadRequest, "malformed hello")
 		return nil, 0, err
 	}
 
 	sig, err := id.Respond(hello.Nonce)
 	if err != nil {
-		SendError(rw, CodeBadRequest, "malformed nonce")
+		c.Reject(CodeBadRequest, "malformed nonce")
 		return nil, 0, err
 	}
 	nonce, err := auth.NewChallenge()
@@ -88,34 +89,36 @@ func ResponderHandshake(rw io.ReadWriter, id *auth.Identity, trusted *auth.Trust
 		return nil, 0, err
 	}
 	ch := Challenge{PubKey: id.Public(), Signature: sig, Nonce: nonce}
-	if err := WriteFrame(rw, TypeChallenge, ch.Marshal()); err != nil {
+	if err := c.Send(TypeChallenge, ch.Marshal()); err != nil {
 		return nil, 0, err
 	}
 
-	f, err = Expect(rw, TypeAuthResponse)
+	b, err = c.Expect(TypeAuthResponse)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wire: handshake: %w", err)
 	}
 	var resp AuthResponse
-	if err := resp.Unmarshal(f.Payload); err != nil {
-		SendError(rw, CodeBadRequest, "malformed auth response")
+	err = resp.Unmarshal(b.Bytes())
+	b.Release()
+	if err != nil {
+		c.Reject(CodeBadRequest, "malformed auth response")
 		return nil, 0, err
 	}
 	if !bytes.Equal(resp.PubKey, hello.PubKey) {
-		SendError(rw, CodeAuthFailed, "key mismatch between hello and auth")
+		c.Reject(CodeAuthFailed, "key mismatch between hello and auth")
 		return nil, 0, fmt.Errorf("%w: hello/auth key mismatch", ErrBadFrame)
 	}
 	initiatorKey := ed25519.PublicKey(resp.PubKey)
 	if trusted != nil {
 		if err := trusted.Check(initiatorKey, nonce, resp.Signature); err != nil {
-			SendError(rw, CodeAuthFailed, "authentication failed")
+			c.Reject(CodeAuthFailed, "authentication failed")
 			return nil, 0, fmt.Errorf("wire: initiator authentication: %w", err)
 		}
 	} else if err := auth.Verify(initiatorKey, nonce, resp.Signature); err != nil {
-		SendError(rw, CodeAuthFailed, "authentication failed")
+		c.Reject(CodeAuthFailed, "authentication failed")
 		return nil, 0, fmt.Errorf("wire: initiator authentication: %w", err)
 	}
-	if err := WriteFrame(rw, TypeAuthOK, nil); err != nil {
+	if err := c.Send(TypeAuthOK, nil); err != nil {
 		return nil, 0, err
 	}
 	return initiatorKey, hello.Role, nil

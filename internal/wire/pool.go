@@ -86,7 +86,7 @@ type PoolStats struct {
 
 // Pool is a size-classed free list of frame buffers with leak and
 // double-release accounting. The zero value is not usable; construct
-// with NewPool. DefaultPool serves the package-level framing helpers.
+// with NewPool. DefaultPool serves every Conn.
 type Pool struct {
 	classes [numClasses]chan *Buf
 
@@ -100,8 +100,8 @@ type Pool struct {
 	live           atomic.Int64
 }
 
-// DefaultPool backs the package-level FrameReader/FrameWriter
-// constructors and the legacy WriteFrame wrapper.
+// DefaultPool backs every Conn: its read window, the payloads its
+// reader hands out and its writer's coalesce staging.
 var DefaultPool = NewPool()
 
 // NewPool returns an empty pool. Pools are cheap: memory is only held

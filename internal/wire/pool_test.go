@@ -130,12 +130,15 @@ func TestPoolClassBoundaries(t *testing.T) {
 	}
 }
 
-// TestPooledWriteFrameByteIdentity pins that the pooled package-level
-// WriteFrame produces exactly the historical wire bytes.
+// TestPooledWriteFrameByteIdentity pins that a Conn's Send, whose
+// small frames are staged in a pooled buffer, produces exactly the
+// historical wire bytes.
 func TestPooledWriteFrameByteIdentity(t *testing.T) {
 	payload := []byte("the quick brown fox")
 	var got bytes.Buffer
-	if err := WriteFrame(&got, TypeData, payload); err != nil {
+	c := NewConn(&streamConn{in: bytes.NewReader(nil), out: &got})
+	defer c.Close()
+	if err := c.Send(TypeData, payload); err != nil {
 		t.Fatal(err)
 	}
 	want := append([]byte{byte(TypeData), 0, 0, 0, byte(len(payload))}, payload...)

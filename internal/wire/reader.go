@@ -1,12 +1,13 @@
 package wire
 
-// FrameReader is the pooled, allocation-free replacement for the
-// legacy ReadFrame loop. It buffers the underlying stream in one fixed
-// window, parses length-prefixed frames out of it, and hands each
-// payload out in a reference-counted *Buf drawn from its Pool — the
-// caller owns the buffer and must Release it (or hand ownership on;
-// see DESIGN.md §13). Frame boundaries, size limits and error classes
-// match ReadFrame exactly, which the differential fuzzer pins.
+// FrameReader is the pooled, allocation-free frame parser behind every
+// wire.Conn. It buffers the underlying stream in one fixed window,
+// parses length-prefixed frames out of it, and hands each payload out
+// in a reference-counted *Buf drawn from its Pool — the caller owns the
+// buffer and must Release it (or hand ownership on; see DESIGN.md §13).
+// Frame boundaries, size limits and error classes match the unbuffered
+// one-frame-per-call reader kept in the tests as an oracle, which the
+// differential fuzzer pins.
 
 import (
 	"encoding/binary"
@@ -14,36 +15,26 @@ import (
 	"io"
 )
 
-// frameReaderWindow is the fill buffer size: big enough to batch many
-// small control frames per read syscall, small enough to sit in L2.
+// frameReaderWindow is the window a Conn draws from its pool — the
+// fill buffer, plus the writer's starting arena at its tail: big enough
+// to batch many small control frames per read syscall, small enough to
+// sit in L2.
 const frameReaderWindow = 64 << 10
 
 // FrameReader reads frames from one stream. Not safe for concurrent
-// use; a connection has exactly one reader.
+// use; a connection has exactly one reader, its Conn's.
 type FrameReader struct {
 	r    io.Reader
 	pool *Pool
-	buf  []byte
-	lo   int // next unread byte in buf
-	hi   int // end of buffered bytes
-}
-
-// NewFrameReader returns a reader over r drawing payload buffers from
-// DefaultPool.
-func NewFrameReader(r io.Reader) *FrameReader {
-	return NewFrameReaderPool(r, DefaultPool)
-}
-
-// NewFrameReaderPool is NewFrameReader with an explicit pool (tests use
-// private pools for leak accounting).
-func NewFrameReaderPool(r io.Reader, pool *Pool) *FrameReader {
-	return &FrameReader{r: r, pool: pool, buf: make([]byte, frameReaderWindow)}
+	buf  []byte // the fill window
+	lo   int    // next unread byte in buf
+	hi   int    // end of buffered bytes
 }
 
 // fill buffers at least need bytes, compacting the window first. A
 // clean end-of-stream with nothing buffered returns io.EOF; a torn
-// prefix returns io.ErrUnexpectedEOF — the same classes ReadFrame's
-// header read yields.
+// prefix returns io.ErrUnexpectedEOF — the same classes an io.ReadFull
+// of the header yields.
 func (fr *FrameReader) fill(need int) error {
 	for fr.hi-fr.lo < need {
 		if fr.lo > 0 {
@@ -94,11 +85,12 @@ func (fr *FrameReader) Next() (Type, *Buf, error) {
 			b.Release()
 			if err == io.EOF && have > 0 {
 				// Part of the body was consumed from the buffered window,
-				// so a clean end-of-stream here is a torn frame: legacy
-				// ReadFrame's single ReadFull would have read those bytes
+				// so a clean end-of-stream here is a torn frame: one
+				// ReadFull of the whole body would have read those bytes
 				// itself and returned ErrUnexpectedEOF. With no body
-				// bytes consumed, EOF passes through — the class legacy
-				// yields when the stream ends exactly at the header.
+				// bytes consumed, EOF passes through — the class that
+				// ReadFull yields when the stream ends exactly at the
+				// header.
 				err = io.ErrUnexpectedEOF
 			}
 			return 0, nil, fmt.Errorf("wire: short frame body: %w", err)
@@ -106,28 +98,4 @@ func (fr *FrameReader) Next() (Type, *Buf, error) {
 	}
 	recordFrameRecv(t, n)
 	return t, b, nil
-}
-
-// Expect reads one frame and verifies its type, translating TypeError
-// frames into *RemoteError exactly like the package-level Expect. The
-// returned buffer follows Next's ownership rule.
-func (fr *FrameReader) Expect(want Type) (*Buf, error) {
-	t, b, err := fr.Next()
-	if err != nil {
-		return nil, err
-	}
-	if t == TypeError {
-		var e ErrorMsg
-		uerr := e.Unmarshal(b.Bytes())
-		b.Release()
-		if uerr == nil {
-			return nil, &RemoteError{Code: e.Code, Reason: e.Reason}
-		}
-		return nil, fmt.Errorf("%w: undecodable remote error", ErrBadFrame)
-	}
-	if t != want {
-		b.Release()
-		return nil, fmt.Errorf("%w: got %s, want %s", ErrUnexpectedFrame, t, want)
-	}
-	return b, nil
 }

@@ -1,9 +1,9 @@
 package wire
 
 // Differential coverage for the pooled framing hot path: FrameWriter
-// must emit byte-identical streams to the legacy WriteFrame, and
+// must emit byte-identical streams to the WriteFrame oracle, and
 // FrameReader must parse any stream into the same (type, payload,
-// error-class) sequence ReadFrame produces. The suites run against a
+// error-class) sequence the ReadFrame oracle produces. The suites run against a
 // private pool and assert the teardown invariants — zero live buffers,
 // zero double-releases — after every scenario.
 
@@ -49,8 +49,8 @@ func randomFrames(rng *rand.Rand, n int) []Frame {
 }
 
 // TestFrameWriterByteIdentity writes the same frame batch through the
-// legacy path and through every FrameWriter queueing mode, and requires
-// bit-identical streams.
+// WriteFrame oracle and through every FrameWriter queueing mode, and
+// requires bit-identical streams.
 func TestFrameWriterByteIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	frames := randomFrames(rng, 64)
@@ -76,11 +76,13 @@ func TestFrameWriterByteIdentity(t *testing.T) {
 			cut := len(f.Payload) / 3
 			err = fw.QueueSpan(f.Type, f.Payload[:cut], f.Payload[cut:])
 		case 2:
-			b := pool.Get(len(f.Payload))
-			copy(b.Bytes(), f.Payload)
-			err = fw.QueueBuf(f.Type, b)
+			// A head only: the whole payload copied into the arena.
+			err = fw.QueueSpan(f.Type, f.Payload, nil)
 		default:
-			err = fw.WriteFrame(f.Type, f.Payload)
+			// One frame per flush, as Conn.Send writes it.
+			if err = fw.Queue(f.Type, f.Payload); err == nil {
+				err = fw.Flush()
+			}
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -216,30 +218,33 @@ type failWriter struct{}
 
 func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("broken pipe") }
 
-// TestFrameWriterReleasesOwnedOnError: buffers handed over with
-// QueueBuf must be released even when the flush fails.
+// TestFrameWriterReleasesOwnedOnError: a failed flush reports the write
+// error on every flush path, and the pooled buffer the writer stages a
+// small batch in goes back to the pool all the same.
 func TestFrameWriterReleasesOwnedOnError(t *testing.T) {
 	pool := NewPool()
 	fw := &FrameWriter{w: failWriter{}, pool: pool}
-	b := pool.Get(100 << 10) // big enough to take the vectored path
-	if err := fw.QueueBuf(TypeData, b); err != nil {
+	body := make([]byte, writerCopyMax+1) // referenced, so the batch is staged
+	for _, n := range []int{1, 100} {     // coalesced, then vectored
+		for i := 0; i < n; i++ {
+			if err := fw.Queue(TypeData, body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fw.Flush(); err == nil {
+			t.Fatalf("flush of %d frames on a broken writer succeeded", n)
+		}
+	}
+	if err := fw.Queue(TypeStop, nil); err != nil { // all-arena batch
 		t.Fatal(err)
 	}
 	if err := fw.Flush(); err == nil {
-		t.Fatal("flush on broken writer succeeded")
-	}
-	// And the coalesced path.
-	c := pool.Get(16)
-	if err := fw.QueueBuf(TypeData, c); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err == nil {
-		t.Fatal("flush on broken writer succeeded")
+		t.Fatal("flush on a broken writer succeeded")
 	}
 	checkPool(t, pool)
 }
 
-// TestFrameWriterOversize mirrors the legacy MaxFrameSize refusal in
+// TestFrameWriterOversize mirrors the oracle's MaxFrameSize refusal in
 // every queueing mode.
 func TestFrameWriterOversize(t *testing.T) {
 	pool := NewPool()
@@ -252,32 +257,33 @@ func TestFrameWriterOversize(t *testing.T) {
 	if err := fw.QueueSpan(TypeData, big[:16], big[16:]); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("QueueSpan error = %v", err)
 	}
-	b := pool.Get(MaxFrameSize + 1)
-	if err := fw.QueueBuf(TypeData, b); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("QueueBuf error = %v", err)
-	}
 	if err := fw.Flush(); err != nil || out.Len() != 0 {
 		t.Errorf("refused frames still wrote %d bytes (err %v)", out.Len(), err)
 	}
 	checkPool(t, pool)
 }
 
-// TestFrameReaderExpect mirrors the package-level Expect contract.
+// TestFrameReaderExpect pins Conn.Expect against the Expect oracle's
+// contract: a wrong type is ErrUnexpectedFrame, an ERROR frame is a
+// typed *RemoteError, the wanted type is handed over.
 func TestFrameReaderExpect(t *testing.T) {
-	pool := NewPool()
+	before := DefaultPool.Live()
+	expect := func(stream []byte, want Type) (*Buf, error) {
+		c := NewConn(&streamConn{in: bytes.NewReader(stream), out: io.Discard})
+		defer c.Close()
+		return c.Expect(want)
+	}
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, TypeGet, (&Get{FileID: 1}).Marshal()); err != nil {
 		t.Fatal(err)
 	}
-	fr := NewFrameReaderPool(&buf, pool)
-	if _, err := fr.Expect(TypeStop); !errors.Is(err, ErrUnexpectedFrame) {
+	if _, err := expect(buf.Bytes(), TypeStop); !errors.Is(err, ErrUnexpectedFrame) {
 		t.Errorf("wrong type error = %v", err)
 	}
 
 	buf.Reset()
 	SendError(&buf, CodeUnknownFile, "nope")
-	fr = NewFrameReaderPool(&buf, pool)
-	_, err := fr.Expect(TypeData)
+	_, err := expect(buf.Bytes(), TypeData)
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Code != CodeUnknownFile || remote.Reason != "nope" {
 		t.Errorf("remote error = %v", err)
@@ -287,13 +293,14 @@ func TestFrameReaderExpect(t *testing.T) {
 	if err := WriteFrame(&buf, TypePutOK, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
-	fr = NewFrameReaderPool(&buf, pool)
-	b, err := fr.Expect(TypePutOK)
+	b, err := expect(buf.Bytes(), TypePutOK)
 	if err != nil || string(b.Bytes()) != "ok" {
 		t.Fatalf("Expect = %v, %v", b, err)
 	}
 	b.Release()
-	checkPool(t, pool)
+	if live := DefaultPool.Live(); live != before {
+		t.Fatalf("live buffers %d -> %d", before, live)
+	}
 }
 
 func TestStreamErrorRoundTrip(t *testing.T) {

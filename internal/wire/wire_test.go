@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"strings"
@@ -194,7 +195,8 @@ func TestGetStopFeedbackErrorRoundTrip(t *testing.T) {
 func handshakePair(t *testing.T, initiator, responder *auth.Identity,
 	initiatorTrust, responderTrust *auth.TrustSet) (initErr, respErr error) {
 	t.Helper()
-	cConn, sConn := net.Pipe()
+	cNet, sNet := net.Pipe()
+	cConn, sConn := NewConn(cNet), NewConn(sNet)
 	defer sConn.Close()
 
 	done := make(chan error, 1)
@@ -202,7 +204,7 @@ func handshakePair(t *testing.T, initiator, responder *auth.Identity,
 		_, _, err := ResponderHandshake(sConn, responder, responderTrust)
 		done <- err
 	}()
-	_, initErr = InitiatorHandshake(cConn, initiator, RoleUser, initiatorTrust)
+	_, initErr = InitiatorHandshake(context.Background(), cConn, initiator, RoleUser, initiatorTrust)
 	// Close the initiator side so an aborted handshake unblocks the
 	// responder (net.Pipe is fully synchronous).
 	cConn.Close()
@@ -284,7 +286,8 @@ func TestHandshakeKeyMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cConn, sConn := net.Pipe()
+	cConn, sNet := net.Pipe()
+	sConn := NewConn(sNet)
 	defer cConn.Close()
 	defer sConn.Close()
 	done := make(chan error, 1)
@@ -319,7 +322,7 @@ func TestHandshakeKeyMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// net.Pipe writes are synchronous: read the responder's error frame
-	// before collecting its result so SendError does not deadlock.
+	// before collecting its result so Reject does not deadlock.
 	if _, err := Expect(cConn, TypeAuthOK); err == nil {
 		t.Error("initiator received AUTH_OK despite key mismatch")
 	}
